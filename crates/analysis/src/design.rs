@@ -20,14 +20,13 @@
 use prlc_core::{DecodingConstraint, PriorityDistribution, PriorityProfile, Scheme};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::curves;
 use crate::model::AnalysisOptions;
 
 /// The full-recovery constraint of eq. 10: with `α·N` coded blocks, all
 /// `n` levels must decode with probability at least `1 − ε`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FullRecoveryConstraint {
     /// Overhead factor `α > 1`.
     pub alpha: f64,
@@ -128,7 +127,7 @@ impl FeasibilityProblem {
 }
 
 /// Knobs for the feasibility search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverOptions {
     /// Total penalty-evaluation budget across all restarts.
     pub max_evaluations: usize,

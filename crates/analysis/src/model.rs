@@ -1,9 +1,7 @@
 //! Shared modelling options for the decoding-performance analysis.
 
-use serde::{Deserialize, Serialize};
-
 /// How decodability is modelled given per-level coded-block counts.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum DecodabilityModel {
     /// The paper's large-field idealisation (footnote 1 of Sec. 3.3):
     /// a level (or prefix) decodes **iff** it has accumulated at least as
@@ -24,7 +22,7 @@ pub enum DecodabilityModel {
 }
 
 /// Options for the analytical decoding curves.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AnalysisOptions {
     /// The decodability model; defaults to the paper's sharp indicator.
     pub model: DecodabilityModel,

@@ -177,7 +177,8 @@ pub fn encode(input: &Path, out_dir: &Path, opts: &EncodeOptions) -> Result<usiz
     let encoder = Encoder::new(opts.scheme, profile);
     let mut rng = StdRng::seed_from_u64(opts.seed);
     // Deterministic per-level shard counts (so `info` can reason about
-    // what should exist), shuffled deterministically across file names.
+    // what should exist), written in level order: level 0's shards take
+    // the lowest file numbers.
     let counts = dist.allocate(m);
     let mut shard_idx = 0usize;
     for (level, &count) in counts.iter().enumerate() {

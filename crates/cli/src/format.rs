@@ -15,6 +15,9 @@ use std::io::{self, Read, Write};
 use prlc_core::{CodedBlock, CoeffRow, PriorityProfile, Scheme};
 use prlc_gf::Gf256;
 
+/// FNV-1a 64-bit hash, used as the integrity checksum.
+pub use prlc_obs::baseline::fnv1a;
+
 const SHARD_MAGIC: &[u8; 4] = b"PRLC";
 const MANIFEST_MAGIC: &[u8; 4] = b"PRLM";
 const VERSION: u8 = 1;
@@ -59,16 +62,6 @@ impl From<io::Error> for FormatError {
     fn from(e: io::Error) -> Self {
         FormatError::Io(e)
     }
-}
-
-/// FNV-1a 64-bit hash, used as the integrity checksum.
-pub fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
-    for &b in data {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01B3);
-    }
-    hash
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {

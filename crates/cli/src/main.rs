@@ -2,6 +2,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use std::str::FromStr;
 
 use prlc_cli::{decode, encode, info, DecodeOptions, EncodeOptions};
 use prlc_core::{PriorityDistribution, PriorityProfile, Scheme};
@@ -12,7 +13,7 @@ use prlc_sim::{
     persistence_under_lossy_collection_with_threads, run_bench_probe, run_probe_and_reset, runner,
     simulate_adversary_sweep_with_threads, simulate_decoding_curve_with_threads,
     simulate_persistence_timeline_with_threads, timeline_results_json, AdversarySweepConfig,
-    CurveConfig, LossyCollectionConfig, Persistence, RunMetadata, Table, TimelineConfig,
+    CurveConfig, Envelope, LossyCollectionConfig, Persistence, RunMetadata, Table, TimelineConfig,
     BENCH_PROBES,
 };
 
@@ -169,6 +170,44 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Flag parsing
+// ---------------------------------------------------------------------------
+
+/// Checks `args` against the flags `cmd` takes and returns its
+/// positional arguments. `values` lists the flags that take a value
+/// (`--flag v` or `--flag=v`), `switches` those that stand alone, each
+/// separated by whitespace; any other `--flag` is an error naming it.
+fn check_flags<'a>(
+    cmd: &str,
+    args: &'a [String],
+    values: &str,
+    switches: &str,
+) -> Result<Vec<&'a String>, String> {
+    let takes = |list: &str, name: &str| list.split_whitespace().any(|f| f == name);
+    let mut positionals = Vec::new();
+    let mut rest = args.iter();
+    while let Some(a) = rest.next() {
+        if !a.starts_with("--") {
+            positionals.push(a);
+            continue;
+        }
+        let (name, inline_value) = a
+            .split_once('=')
+            .map_or((a.as_str(), false), |(n, _)| (n, true));
+        if takes(values, name) {
+            if !inline_value {
+                rest.next();
+            }
+        } else if !takes(switches, name) {
+            return Err(format!("{cmd}: unknown flag {name}"));
+        } else if inline_value {
+            return Err(format!("{cmd}: {name} takes no value"));
+        }
+    }
+    Ok(positionals)
+}
+
 /// Pulls `--flag value` or `--flag=value` out of `args`.
 fn flag_value(args: &[String], flag: &str) -> Result<Option<String>, String> {
     let prefix = format!("{flag}=");
@@ -190,20 +229,92 @@ fn has_flag(args: &[String], flag: &str) -> bool {
     args.iter().any(|a| a == flag)
 }
 
-fn positional(args: &[String]) -> Option<&String> {
-    let mut skip_next = false;
-    for a in args {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        if let Some(stripped) = a.strip_prefix("--") {
-            skip_next = !stripped.contains('=') && !matches!(stripped, "allow-partial");
-            continue;
-        }
-        return Some(a);
+/// `flag`'s value parsed as a `T`, if given. A value that does not parse
+/// is reported as `bad <flag>` followed by `hint`.
+fn parsed<T: FromStr>(args: &[String], flag: &str, hint: &str) -> Result<Option<T>, String> {
+    flag_value(args, flag)?
+        .map(|v| v.parse().map_err(|_| format!("bad {flag}{hint}")))
+        .transpose()
+}
+
+/// [`parsed`], or `default` when the flag is absent.
+fn num<T: FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
+    Ok(parsed(args, flag, "")?.unwrap_or(default))
+}
+
+/// A count flag that must be at least 1, if given.
+fn count(args: &[String], flag: &str) -> Result<Option<usize>, String> {
+    match parsed(args, flag, "")? {
+        Some(0) => Err(format!("{flag} must be at least 1")),
+        n => Ok(n),
     }
-    None
+}
+
+/// Checks that `p` is a probability; `what` names it in the error.
+fn unit(p: f64, what: &str) -> Result<f64, String> {
+    if (0.0..=1.0).contains(&p) {
+        Ok(p)
+    } else {
+        Err(format!("{what} must be in [0,1]"))
+    }
+}
+
+/// A comma-separated list flag, if given; `example` shows the expected
+/// shape in the error.
+fn list<T: FromStr>(args: &[String], flag: &str, example: &str) -> Result<Option<Vec<T>>, String> {
+    flag_value(args, flag)?
+        .map(|v| {
+            v.split(',')
+                .map(|s| s.trim().parse())
+                .collect::<Result<Vec<T>, _>>()
+                .map_err(|_| format!("bad {flag} (expect e.g. {example})"))
+        })
+        .transpose()
+}
+
+/// A flag that takes one of `options`, defaulting to the first.
+fn choice(args: &[String], flag: &str, options: &[&str]) -> Result<String, String> {
+    let v = flag_value(args, flag)?.unwrap_or_else(|| options[0].to_string());
+    if options.contains(&v.as_str()) {
+        Ok(v)
+    } else {
+        Err(format!("{flag} must be {}, got {v:?}", options.join("|")))
+    }
+}
+
+/// `--scheme`: a coding scheme or one of the non-coding baselines;
+/// PLC when absent.
+fn persistence(args: &[String]) -> Result<Persistence, String> {
+    match flag_value(args, "--scheme")?
+        .map(|s| s.to_ascii_lowercase())
+        .as_deref()
+    {
+        None | Some("plc") => Ok(Persistence::Coding(Scheme::Plc)),
+        Some("rlc") => Ok(Persistence::Coding(Scheme::Rlc)),
+        Some("slc") => Ok(Persistence::Coding(Scheme::Slc)),
+        Some("replication") => Ok(Persistence::Replication),
+        Some("growth") => Ok(Persistence::Growth),
+        Some(_) => Err("bad --scheme (rlc|slc|plc|replication|growth)".into()),
+    }
+}
+
+/// `--scheme` restricted to the coding schemes; `prefix` leads the error.
+fn coding_scheme(args: &[String], prefix: &str) -> Result<Scheme, String> {
+    match persistence(args) {
+        Ok(Persistence::Coding(scheme)) => Ok(scheme),
+        _ => Err(format!("{prefix}bad --scheme (rlc|slc|plc)")),
+    }
+}
+
+/// `--levels` as a priority profile; `[2,3,5]` when absent.
+fn profile(args: &[String]) -> Result<PriorityProfile, String> {
+    let sizes = list(args, "--levels", "2,3,5")?.unwrap_or_else(|| vec![2, 3, 5]);
+    PriorityProfile::new(sizes).map_err(|e| format!("bad --levels: {e}"))
+}
+
+/// `--threads`, defaulting to the available parallelism.
+fn threads(args: &[String]) -> Result<usize, String> {
+    Ok(count(args, "--threads")?.unwrap_or_else(runner::default_threads))
 }
 
 /// The one-line run header shared by every subcommand that does field
@@ -215,35 +326,25 @@ fn print_kernel_header(task: &str) {
     );
 }
 
+// ---------------------------------------------------------------------------
+// File subcommands
+// ---------------------------------------------------------------------------
+
 fn cmd_encode(args: &[String]) -> Result<(), String> {
-    let input = positional(args).ok_or("encode: missing input file")?;
+    let flags = "--out --block-size --levels --overhead --scheme --seed";
+    let positionals = check_flags("encode", args, flags, "")?;
+    let input = positionals.first().ok_or("encode: missing input file")?;
     print_kernel_header("encode");
     let out = flag_value(args, "--out")?.ok_or("encode: missing --out DIR")?;
-    let mut opts = EncodeOptions::default();
-    if let Some(v) = flag_value(args, "--block-size")? {
-        opts.block_size = v.parse().map_err(|_| "bad --block-size")?;
-    }
-    if let Some(v) = flag_value(args, "--levels")? {
-        opts.level_shares = v
-            .split(',')
-            .map(|s| s.trim().parse::<f64>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| "bad --levels (expect e.g. 10,30,60)")?;
-    }
-    if let Some(v) = flag_value(args, "--overhead")? {
-        opts.overhead = v.parse().map_err(|_| "bad --overhead")?;
-    }
-    if let Some(v) = flag_value(args, "--scheme")? {
-        opts.scheme = match v.to_ascii_lowercase().as_str() {
-            "rlc" => Scheme::Rlc,
-            "slc" => Scheme::Slc,
-            "plc" => Scheme::Plc,
-            _ => return Err("bad --scheme (rlc|slc|plc)".into()),
-        };
-    }
-    if let Some(v) = flag_value(args, "--seed")? {
-        opts.seed = v.parse().map_err(|_| "bad --seed")?;
-    }
+    let defaults = EncodeOptions::default();
+    let opts = EncodeOptions {
+        block_size: num(args, "--block-size", defaults.block_size)?,
+        level_shares: list(args, "--levels", "10,30,60")?.unwrap_or(defaults.level_shares),
+        overhead: num(args, "--overhead", defaults.overhead)?,
+        scheme: coding_scheme(args, "")?,
+        seed: num(args, "--seed", defaults.seed)?,
+        ..defaults
+    };
     let shards =
         encode(&PathBuf::from(input), &PathBuf::from(&out), &opts).map_err(|e| e.to_string())?;
     println!("wrote {shards} shards + manifest to {out}");
@@ -251,7 +352,10 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_decode(args: &[String]) -> Result<(), String> {
-    let dir = positional(args).ok_or("decode: missing shard directory")?;
+    let positionals = check_flags("decode", args, "--out", "--allow-partial")?;
+    let dir = positionals
+        .first()
+        .ok_or("decode: missing shard directory")?;
     let out = flag_value(args, "--out")?.ok_or("decode: missing --out FILE")?;
     print_kernel_header("decode");
     let opts = DecodeOptions {
@@ -279,7 +383,8 @@ fn cmd_decode(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let dir = positional(args).ok_or("info: missing shard directory")?;
+    let positionals = check_flags("info", args, "", "")?;
+    let dir = positionals.first().ok_or("info: missing shard directory")?;
     let report = info(&PathBuf::from(dir)).map_err(|e| e.to_string())?;
     let m = &report.manifest;
     println!("file length : {} bytes", m.file_len);
@@ -317,70 +422,293 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_sim(args: &[String]) -> Result<(), String> {
-    let persistence = match flag_value(args, "--scheme")?
-        .map(|s| s.to_ascii_lowercase())
-        .as_deref()
-    {
-        None | Some("plc") => Persistence::Coding(Scheme::Plc),
-        Some("rlc") => Persistence::Coding(Scheme::Rlc),
-        Some("slc") => Persistence::Coding(Scheme::Slc),
-        Some("replication") => Persistence::Replication,
-        Some("growth") => Persistence::Growth,
-        Some(_) => return Err("bad --scheme (rlc|slc|plc|replication|growth)".into()),
-    };
-    let level_sizes: Vec<usize> = match flag_value(args, "--levels")? {
-        Some(v) => v
-            .split(',')
-            .map(|s| s.trim().parse::<usize>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| "bad --levels (expect e.g. 2,3,5)")?,
-        None => vec![2, 3, 5],
-    };
-    let profile = PriorityProfile::new(level_sizes).map_err(|e| format!("bad --levels: {e}"))?;
-    let distribution = PriorityDistribution::uniform(profile.num_levels());
-    let max_blocks = match flag_value(args, "--max-blocks")? {
-        Some(v) => v.parse().map_err(|_| "bad --max-blocks")?,
-        None => 3 * profile.total_blocks(),
-    };
-    let runs = match flag_value(args, "--runs")? {
-        Some(v) => v.parse().map_err(|_| "bad --runs")?,
-        None => 100,
-    };
-    let seed = match flag_value(args, "--seed")? {
-        Some(v) => v.parse().map_err(|_| "bad --seed")?,
-        None => 1,
-    };
-    let threads = match flag_value(args, "--threads")? {
-        Some(v) => {
-            let t: usize = v.parse().map_err(|_| "bad --threads")?;
-            if t == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            t
-        }
-        None => runner::default_threads(),
-    };
+// ---------------------------------------------------------------------------
+// `prlc sim`
+// ---------------------------------------------------------------------------
 
-    let metrics_out = flag_value(args, "--metrics")?;
-    if metrics_out.is_some() {
-        prlc_obs::enable();
+/// Every flag `prlc sim` takes.
+const SIM_FLAGS: &str = "--scheme --levels --max-blocks --runs --seed --threads --loss --retries \
+     --nodes --locations --epochs --churn --repair --adversary --adv-intensity --adv-segment \
+     --adv-focus --fanout --coeff --bench-out --metrics --trace --trace-format";
+
+/// `prlc sim`'s flags, parsed once.
+struct SimArgs {
+    /// The fields every mode shares; the curve mode runs it as is.
+    base: CurveConfig,
+    threads: usize,
+    mode: SimMode,
+    out: SimOutputs,
+}
+
+/// Which experiment `prlc sim` runs, chosen by the first mode flag given
+/// in the order `--adversary`, `--epochs`, `--loss`/`--retries`.
+enum SimMode {
+    Curve,
+    /// The collection sweep over the loss × retry-budget grid.
+    Lossy(LossyCollectionConfig, Vec<f64>, Vec<usize>),
+    Timeline(TimelineConfig),
+    /// The adversary sweep, on the timeline's deployment and upkeep.
+    Adversary(TimelineConfig, AdversaryStrategy),
+}
+
+/// Where a `sim` run's `--metrics`, `--trace` and `--bench-out` go.
+struct SimOutputs {
+    metrics: Option<String>,
+    trace: Option<String>,
+    trace_format: String,
+    bench_out: Option<String>,
+}
+
+impl SimArgs {
+    fn parse(args: &[String]) -> Result<Self, String> {
+        check_flags("sim", args, SIM_FLAGS, "")?;
+        let profile = profile(args)?;
+        let base = CurveConfig {
+            persistence: persistence(args)?,
+            distribution: PriorityDistribution::uniform(profile.num_levels()),
+            max_blocks: num(args, "--max-blocks", 3 * profile.total_blocks())?,
+            runs: num(args, "--runs", 100)?,
+            seed: num(args, "--seed", 1)?,
+            profile,
+        };
+        let threads = threads(args)?;
+        let out = SimOutputs::parse(args)?;
+        let mode = if let Some(name) = flag_value(args, "--adversary")? {
+            let cfg = timeline_config(args, &base, "--adversary needs", true)?;
+            let strategy = adversary_strategy(args, &name, cfg.locations)?;
+            SimMode::Adversary(cfg, strategy)
+        } else if flag_value(args, "--epochs")?.is_some() {
+            SimMode::Timeline(timeline_config(args, &base, "--epochs needs", false)?)
+        } else if flag_value(args, "--loss")?.is_some() || flag_value(args, "--retries")?.is_some()
+        {
+            let scheme = coding(&base, "--loss/--retries need", "collection")?;
+            let losses = list(args, "--loss", "0,0.2,0.5")?.unwrap_or(vec![0.0, 0.1, 0.3, 0.5]);
+            for &p in &losses {
+                unit(p, "--loss rates")?;
+            }
+            let retries = list(args, "--retries", "0,1,3")?.unwrap_or(vec![0, 1, 3]);
+            let (nodes, locations) = overlay_geometry(args, &base.profile)?;
+            let cfg = LossyCollectionConfig {
+                scheme,
+                profile: base.profile.clone(),
+                distribution: base.distribution.clone(),
+                nodes,
+                locations,
+                node_failure: 0.3,
+                backoff_hops: 1,
+                runs: base.runs,
+                seed: base.seed,
+            };
+            SimMode::Lossy(cfg, losses, retries)
+        } else {
+            SimMode::Curve
+        };
+        Ok(SimArgs {
+            base,
+            threads,
+            mode,
+            out,
+        })
     }
-    let trace_out = flag_value(args, "--trace")?;
-    let trace_format = flag_value(args, "--trace-format")?.unwrap_or_else(|| "json".to_string());
-    if trace_format != "json" && trace_format != "chrome" {
+}
+
+/// The scheme of a networked mode, which needs a coding scheme: the
+/// baselines have no networked path.
+fn coding(base: &CurveConfig, needs: &str, path: &str) -> Result<Scheme, String> {
+    match base.persistence {
+        Persistence::Coding(scheme) => Ok(scheme),
+        _ => Err(format!(
+            "{needs} a coding scheme (rlc|slc|plc): the baselines have no \
+             networked {path} path"
+        )),
+    }
+}
+
+/// The flags the timeline and adversary modes share, with the
+/// timeline's defaults (`--epochs` required, `--churn` 0.2) or, for the
+/// `adversary` sweep, its own (`--epochs` 4, `--churn` 0). `needs` leads
+/// the error for a non-coding scheme.
+fn timeline_config(
+    args: &[String],
+    base: &CurveConfig,
+    needs: &str,
+    adversary: bool,
+) -> Result<TimelineConfig, String> {
+    let (epochs, churn, sweep) = if adversary {
+        (Some(4), 0.0, "an adversary sweep")
+    } else {
+        (None, 0.2, "a timeline")
+    };
+    let scheme = coding(base, needs, "persistence")?;
+    let (nodes, locations) = overlay_geometry(args, &base.profile)?;
+    let epochs = count(args, "--epochs")?
+        .or(epochs)
+        .ok_or("--epochs missing")?;
+    let churn = unit(num(args, "--churn", churn)?, "--churn")?;
+    let repair_donors = match parsed(args, "--repair", "")? {
+        Some(0) => return Err("--repair needs at least one donor per slot".into()),
+        d => d,
+    };
+    let single = |what: &str| format!(" ({sweep} takes a single {what})");
+    let loss = unit(
+        parsed(args, "--loss", &single("rate"))?.unwrap_or(0.0),
+        "--loss",
+    )?;
+    let retries = parsed(args, "--retries", &single("budget"))?.unwrap_or(0);
+    let fanout = match flag_value(args, "--fanout")?.as_deref() {
+        None | Some("all") => SourceFanout::All,
+        Some(v) => {
+            let f = v
+                .strip_prefix("log:")
+                .ok_or_else(|| format!("bad --fanout {v:?} (want all or log:F)"))?;
+            let factor: f64 = f.parse().map_err(|_| "bad --fanout factor")?;
+            if !factor.is_finite() || factor <= 0.0 {
+                return Err("--fanout log factor must be finite and > 0".into());
+            }
+            SourceFanout::Log { factor }
+        }
+    };
+    let coeff_rep = match flag_value(args, "--coeff")?.as_deref() {
+        None | Some("dense") => CoeffRep::Dense,
+        Some("sparse") => CoeffRep::Sparse,
+        Some(v) => return Err(format!("bad --coeff {v:?} (want dense or sparse)")),
+    };
+    Ok(TimelineConfig {
+        scheme,
+        profile: base.profile.clone(),
+        distribution: base.distribution.clone(),
+        nodes,
+        locations,
+        churn_per_epoch: churn,
+        epochs,
+        repair_donors,
+        faults: if loss > 0.0 {
+            FaultPlan::lossy(loss, RetryPolicy::with_retries(retries, 1), base.seed)
+        } else {
+            FaultPlan::none()
+        },
+        fanout,
+        coeff_rep,
+        runs: base.runs,
+        seed: base.seed,
+    })
+}
+
+/// `--adversary <name>` with its strategy flags. Each strategy keeps its
+/// own `--adv-intensity` default; `targeted` defaults to killing a
+/// quarter of the `locations`.
+fn adversary_strategy(
+    args: &[String],
+    name: &str,
+    locations: usize,
+) -> Result<AdversaryStrategy, String> {
+    let intensity = |default: f64, what: &str| unit(num(args, "--adv-intensity", default)?, what);
+    Ok(match name {
+        "region" => AdversaryStrategy::Region {
+            fraction: intensity(0.05, "--adv-intensity (region fraction)")?,
+            segment_len: count(args, "--adv-segment")?.unwrap_or(4),
+        },
+        "eclipse" => AdversaryStrategy::Eclipse {
+            loss: intensity(0.9, "--adv-intensity (eclipse loss)")?,
+        },
+        "targeted" => AdversaryStrategy::Targeted {
+            kills: parsed(args, "--adv-intensity", " (targeted takes a kill count)")?
+                .unwrap_or(locations / 4),
+            focus: unit(num(args, "--adv-focus", 1.0)?, "--adv-focus")?,
+        },
+        "creep" => AdversaryStrategy::Creep {
+            per_epoch: intensity(0.1, "--adv-intensity (creep rate)")?,
+        },
+        v => {
+            return Err(format!(
+                "bad --adversary {v:?} (want region|eclipse|targeted|creep)"
+            ))
+        }
+    })
+}
+
+/// Parses `--nodes` / `--locations` for the overlay-backed sim paths,
+/// with validation against the code parameters: an overlay that cannot
+/// hold a decodable deployment is rejected up front with an actionable
+/// message instead of failing deep inside the protocol.
+fn overlay_geometry(args: &[String], profile: &PriorityProfile) -> Result<(usize, usize), String> {
+    let total = profile.total_blocks();
+    let nodes = num(args, "--nodes", 4 * total.max(20))?;
+    if nodes < 2 * total {
         return Err(format!(
-            "--trace-format must be json|chrome, got {trace_format:?}"
+            "--nodes {nodes} is too small for this code: {total} source blocks \
+             need at least {} nodes (2x the code width) to hold a decodable \
+             set of storage locations",
+            2 * total
         ));
     }
-    if trace_out.as_deref() == Some("-") && metrics_out.as_deref() == Some("-") {
-        return Err(
-            "--trace - and --metrics - both target stdout and would interleave; \
-                    write at least one of them to a file"
-                .into(),
-        );
+    // nodes/2 like the original sweeps, capped so that huge overlays
+    // (--nodes 100000) keep a code-sized deployment instead of scaling
+    // the location count with the network.
+    let locations = num(args, "--locations", (nodes / 2).min(4 * total.max(20)))?;
+    if locations < total {
+        return Err(format!(
+            "--locations {locations} is below the code width {total}: the \
+             deployment could never be fully decodable"
+        ));
     }
-    if trace_out.is_some() {
+    Ok((nodes, locations))
+}
+
+impl SimOutputs {
+    fn parse(args: &[String]) -> Result<Self, String> {
+        let out = SimOutputs {
+            metrics: flag_value(args, "--metrics")?,
+            trace: flag_value(args, "--trace")?,
+            trace_format: choice(args, "--trace-format", &["json", "chrome"])?,
+            bench_out: flag_value(args, "--bench-out")?,
+        };
+        if out.trace.as_deref() == Some("-") && out.metrics.as_deref() == Some("-") {
+            return Err(
+                "--trace - and --metrics - both target stdout and would interleave; \
+                 write at least one of them to a file"
+                    .into(),
+            );
+        }
+        Ok(out)
+    }
+
+    /// The tail every `sim` mode finishes through: writes the metrics
+    /// snapshot, the trace dump and the bench envelope around `results`
+    /// (a JSON array), each where its flag asked. `what` names the
+    /// results in the confirmation line.
+    fn finish(&self, meta: &mut RunMetadata, results: &str, what: &str) -> Result<(), String> {
+        let metrics = self
+            .metrics
+            .as_deref()
+            .map(|d| finish_metrics(meta, d))
+            .transpose()?;
+        let trace = self
+            .trace
+            .as_deref()
+            .map(|d| finish_trace(d, &self.trace_format))
+            .transpose()?;
+        if let Some(path) = &self.bench_out {
+            let envelope = meta.envelope(&Envelope {
+                metrics: metrics.as_deref(),
+                trace: trace.as_deref(),
+                results,
+                ..Envelope::default()
+            });
+            std::fs::write(path, envelope).map_err(|e| format!("writing {path}: {e}"))?;
+            println!("wrote {what} + run metadata to {path}");
+        }
+        Ok(())
+    }
+}
+
+fn cmd_sim(args: &[String]) -> Result<(), String> {
+    let sim = SimArgs::parse(args)?;
+    let (base, threads) = (&sim.base, sim.threads);
+    if sim.out.metrics.is_some() {
+        prlc_obs::enable();
+    }
+    if sim.out.trace.is_some() {
         prlc_obs::trace::enable();
     }
 
@@ -395,106 +723,259 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
         fmt_f(meta.symbol_throughput_mb_s, 0)
     );
     println!(
-        "scheme {persistence}, levels {:?}, {runs} runs, seed {seed}",
-        (0..profile.num_levels())
-            .map(|l| profile.blocks_of(l).count())
-            .collect::<Vec<_>>()
+        "scheme {}, levels {:?}, {} runs, seed {}",
+        base.persistence,
+        level_sizes(&base.profile),
+        base.runs,
+        base.seed
     );
 
-    if flag_value(args, "--adversary")?.is_some() {
-        return cmd_sim_adversary(
-            args,
-            persistence,
-            profile,
-            distribution,
-            runs,
-            seed,
-            threads,
-            &mut meta,
-            metrics_out.as_deref(),
-        );
-    }
-
-    if flag_value(args, "--epochs")?.is_some() {
-        return cmd_sim_timeline(
-            args,
-            persistence,
-            profile,
-            distribution,
-            runs,
-            seed,
-            threads,
-            &mut meta,
-            metrics_out.as_deref(),
-        );
-    }
-
-    let losses = flag_value(args, "--loss")?;
-    let retries = flag_value(args, "--retries")?;
-    if losses.is_some() || retries.is_some() {
-        return cmd_sim_lossy(
-            args,
-            persistence,
-            profile,
-            distribution,
-            runs,
-            seed,
-            threads,
-            &mut meta,
-            metrics_out.as_deref(),
-            losses.as_deref(),
-            retries.as_deref(),
-        );
-    }
-
-    let cfg = CurveConfig {
-        persistence,
-        profile,
-        distribution,
-        max_blocks,
-        runs,
-        seed,
+    let (results, what) = match &sim.mode {
+        SimMode::Curve => (sim_curve(base, threads), "curve"),
+        SimMode::Lossy(cfg, losses, retries) => (
+            sim_lossy(cfg, losses, retries, threads)?,
+            "lossy-collection sweep",
+        ),
+        SimMode::Timeline(cfg) => (sim_timeline(cfg, threads)?, "persistence timeline"),
+        SimMode::Adversary(cfg, strategy) => {
+            (sim_adversary(cfg, *strategy, threads), "adversary sweep")
+        }
     };
-    let curve = simulate_decoding_curve_with_threads::<Gf256>(&cfg, threads);
+    sim.out.finish(&mut meta, &results, what)
+}
 
+fn level_sizes(profile: &PriorityProfile) -> Vec<usize> {
+    (0..profile.num_levels())
+        .map(|l| profile.blocks_of(l).count())
+        .collect()
+}
+
+/// The overlay modes' run line: deployment size and upkeep settings.
+fn overlay_line(cfg: &TimelineConfig) -> String {
+    format!(
+        "{} nodes, {} locations, {} epochs, churn {}, repair {}, loss {}",
+        cfg.nodes,
+        cfg.locations,
+        cfg.epochs,
+        fmt_f(cfg.churn_per_epoch, 2),
+        cfg.repair_donors
+            .map_or_else(|| "off".to_string(), |d| format!("{d} donors")),
+        fmt_f(cfg.faults.link.loss, 2),
+    )
+}
+
+/// The decoding-curve mode: prints every 20th point and returns the
+/// whole curve as JSON rows.
+fn sim_curve(cfg: &CurveConfig, threads: usize) -> String {
+    let curve = simulate_decoding_curve_with_threads::<Gf256>(cfg, threads);
     let mut table = Table::new(["blocks", "levels", "ci95"]);
-    let step = (max_blocks / 20).max(1);
-    for m in (0..=max_blocks).step_by(step) {
+    let step = (cfg.max_blocks / 20).max(1);
+    for m in (0..=cfg.max_blocks).step_by(step) {
         let s = curve.summaries[m];
         table.push_row([m.to_string(), fmt_f(s.mean, 3), fmt_f(s.ci95, 3)]);
     }
     println!("{}", table.render());
 
-    let metrics_json = match metrics_out.as_deref() {
-        Some(dest) => Some(finish_metrics(&mut meta, dest)?),
-        None => None,
-    };
-    let trace_json = match trace_out.as_deref() {
-        Some(dest) => Some(finish_trace(dest, &trace_format)?),
-        None => None,
-    };
+    let rows: Vec<String> = curve
+        .summaries
+        .iter()
+        .enumerate()
+        .map(|(m, s)| {
+            format!(
+                "{{\"blocks\":{m},\"mean\":{:.6},\"ci95\":{:.6}}}",
+                s.mean, s.ci95
+            )
+        })
+        .collect();
+    format!("[{}]", rows.join(","))
+}
 
-    if let Some(path) = flag_value(args, "--bench-out")? {
-        let results: Vec<String> = curve
-            .summaries
-            .iter()
-            .enumerate()
-            .map(|(m, s)| {
-                format!(
-                    "{{\"blocks\":{m},\"mean\":{:.6},\"ci95\":{:.6}}}",
-                    s.mean, s.ci95
-                )
-            })
-            .collect();
-        let json = format!("[{}]", results.join(","));
-        meta.write_bench_json_with_blocks(
-            std::path::Path::new(&path),
-            &json,
-            metrics_json.as_deref(),
-            trace_json.as_deref(),
-        )
-        .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote curve + run metadata to {path}");
+/// The lossy-collection mode: the loss × retry-budget grid.
+fn sim_lossy(
+    cfg: &LossyCollectionConfig,
+    losses: &[f64],
+    retries: &[usize],
+    threads: usize,
+) -> Result<String, String> {
+    println!(
+        "lossy collection: {} nodes, {} locations, 30% node failure",
+        cfg.nodes, cfg.locations
+    );
+    let sweep =
+        persistence_under_lossy_collection_with_threads::<Gf256>(cfg, losses, retries, threads)
+            .map_err(|e| format!("lossy-collection sweep failed: {e}"))?;
+    let mut table = Table::new([
+        "loss", "retries", "levels", "ci95", "lost", "resent", "gave-up", "hops",
+    ]);
+    for cell in &sweep.cells {
+        table.push_row([
+            fmt_f(cell.loss, 2),
+            cell.retries.to_string(),
+            fmt_f(cell.decoded_levels.mean, 3),
+            fmt_f(cell.decoded_levels.ci95, 3),
+            fmt_f(cell.lost_messages, 1),
+            fmt_f(cell.retries_spent, 1),
+            fmt_f(cell.gave_up, 1),
+            fmt_f(cell.query_hops, 0),
+        ]);
+    }
+    println!("{}", table.render());
+    Ok(sweep.results_json())
+}
+
+/// The timeline mode: a long-horizon persistence timeline on the
+/// event-driven protocol runtime — churn epoch after churn epoch, with
+/// optional in-network repair and fault-injected protocol sessions.
+fn sim_timeline(cfg: &TimelineConfig, threads: usize) -> Result<String, String> {
+    println!("persistence timeline: {}", overlay_line(cfg));
+    let summaries = simulate_persistence_timeline_with_threads::<Gf256>(cfg, threads)
+        .map_err(|e| format!("timeline simulation failed: {e}"))?;
+    let mut table = Table::new(["epoch", "levels", "ci95"]);
+    for (epoch, s) in summaries.iter().enumerate() {
+        table.push_row([epoch.to_string(), fmt_f(s.mean, 3), fmt_f(s.ci95, 3)]);
+    }
+    println!("{}", table.render());
+    Ok(timeline_results_json(&summaries))
+}
+
+/// The adversary mode: per-epoch decoding degradation under a structured
+/// fault adversary, measured through the faulted transport.
+fn sim_adversary(t: &TimelineConfig, strategy: AdversaryStrategy, threads: usize) -> String {
+    println!("adversary sweep: {strategy:?}, {}", overlay_line(t));
+    let cfg = AdversarySweepConfig {
+        scheme: t.scheme,
+        profile: t.profile.clone(),
+        distribution: t.distribution.clone(),
+        nodes: t.nodes,
+        locations: t.locations,
+        adversary: AdversaryPlan {
+            strategy,
+            after_messages: 0,
+            seed: t.seed,
+        },
+        epochs: t.epochs,
+        churn_per_epoch: t.churn_per_epoch,
+        repair_donors: t.repair_donors,
+        faults: t.faults.clone(),
+        fanout: t.fanout,
+        coeff_rep: t.coeff_rep,
+        runs: t.runs,
+        seed: t.seed,
+    };
+    let out = simulate_adversary_sweep_with_threads::<Gf256>(&cfg, threads);
+    let mut table = Table::new(["epoch", "levels", "ci95", "survival"]);
+    for e in &out {
+        let survival: Vec<String> = e.level_survival.iter().map(|s| fmt_f(*s, 2)).collect();
+        table.push_row([
+            e.epoch.to_string(),
+            fmt_f(e.decoded_levels.mean, 3),
+            fmt_f(e.decoded_levels.ci95, 3),
+            survival.join(" "),
+        ]);
+    }
+    println!("{}", table.render());
+    adversary_results_json(&out)
+}
+
+/// Finalises a metrics-enabled run: folds the `sim.run` timer into the
+/// metadata and delivers the full snapshot to `dest`. Returns the JSON
+/// so callers can also embed it in a bench envelope.
+fn finish_metrics(meta: &mut RunMetadata, dest: &str) -> Result<String, String> {
+    meta.aggregate_obs_timing();
+    deliver(dest, prlc_obs::snapshot().to_json(), "metrics")
+}
+
+/// Finalises a trace-enabled run: renders the recorded trace in the
+/// requested format and delivers it to `dest`. Returns the rendering so
+/// callers can also embed it in a bench envelope.
+fn finish_trace(dest: &str, format: &str) -> Result<String, String> {
+    let snap = prlc_obs::trace::snapshot();
+    let rendered = match format {
+        "chrome" => snap.to_chrome_trace(),
+        _ => snap.to_json(),
+    };
+    deliver(dest, rendered, "trace")
+}
+
+/// Writes `text` as one line to `dest` (`-` = stdout) and hands it back.
+fn deliver(dest: &str, text: String, what: &str) -> Result<String, String> {
+    if dest == "-" {
+        println!("{text}");
+    } else {
+        std::fs::write(dest, format!("{text}\n")).map_err(|e| format!("writing {dest}: {e}"))?;
+        println!("wrote {what} to {dest}");
+    }
+    Ok(text)
+}
+
+// ---------------------------------------------------------------------------
+// `prlc trace`, `prlc bench`, `prlc lint`
+// ---------------------------------------------------------------------------
+
+/// The `trace` subcommand: replay one pinned-seed decoding run with the
+/// causal tracer on and print the per-level decode waterfall (coded
+/// blocks consumed at each level unlock).
+fn cmd_trace(args: &[String]) -> Result<(), String> {
+    let flags = "--scheme --levels --max-blocks --seed --out --format";
+    check_flags("trace", args, flags, "")?;
+    let scheme = coding_scheme(args, "trace: ")?;
+    let profile = profile(args)?;
+    let max_blocks = num(args, "--max-blocks", 3 * profile.total_blocks())?;
+    let seed = num(args, "--seed", 1)?;
+    let out = flag_value(args, "--out")?;
+    let format = choice(args, "--format", &["json", "chrome"])?;
+
+    print_kernel_header("trace");
+    println!(
+        "scheme {}, levels {:?}, 1 run, seed {seed}",
+        Persistence::Coding(scheme),
+        level_sizes(&profile)
+    );
+
+    prlc_obs::trace::enable();
+    prlc_obs::trace::reset();
+    let cfg = CurveConfig {
+        persistence: Persistence::Coding(scheme),
+        profile: profile.clone(),
+        distribution: PriorityDistribution::uniform(profile.num_levels()),
+        max_blocks,
+        runs: 1,
+        seed,
+    };
+    simulate_decoding_curve_with_threads::<Gf256>(&cfg, 1);
+    let snap = prlc_obs::trace::snapshot();
+
+    // Per-level unlock ticks from the provenance instants: tick is the
+    // count of coded blocks the decoder had consumed at the unlock.
+    let mut unlock: Vec<Option<u64>> = vec![None; profile.num_levels()];
+    for (_, rec) in snap.iter() {
+        if rec.name() != "core.decode.level_unlock" {
+            continue;
+        }
+        if let Some(level) = rec.arg("level") {
+            if let Some(slot) = unlock.get_mut(level as usize) {
+                slot.get_or_insert(rec.tick());
+            }
+        }
+    }
+
+    let mut table = Table::new(["level", "size", "rows-to-unlock"]);
+    for l in 0..profile.num_levels() {
+        table.push_row([
+            (l + 1).to_string(),
+            profile.blocks_of(l).count().to_string(),
+            unlock[l].map_or_else(|| "-".to_string(), |t| t.to_string()),
+        ]);
+    }
+    println!("{}", table.render());
+    let unlocked = unlock.iter().filter(|u| u.is_some()).count();
+    println!(
+        "{unlocked}/{} levels unlocked within {max_blocks} coded blocks",
+        profile.num_levels()
+    );
+
+    if let Some(dest) = out {
+        finish_trace(&dest, &format)?;
     }
     Ok(())
 }
@@ -505,39 +986,26 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
 fn cmd_bench(args: &[String]) -> Result<(), String> {
     use prlc_obs::baseline::{diff_envelopes, findings_json, Tolerances};
 
+    let flags = "--out --baseline-dir --probe --threads --tolerance --wall-tolerance --report";
+    check_flags("bench", args, flags, "--check")?;
     let check = has_flag(args, "--check");
-    let probes: Vec<String> = match flag_value(args, "--probe")? {
-        Some(v) => {
-            let list: Vec<String> = v.split(',').map(|s| s.trim().to_string()).collect();
-            for p in &list {
-                if !BENCH_PROBES.contains(&p.as_str()) {
-                    return Err(format!(
-                        "unknown probe {p:?} (want one of {})",
-                        BENCH_PROBES.join(", ")
-                    ));
-                }
-            }
-            list
-        }
-        None => BENCH_PROBES.iter().map(|s| s.to_string()).collect(),
-    };
-    let threads = match flag_value(args, "--threads")? {
-        Some(v) => {
-            let t: usize = v.parse().map_err(|_| "bad --threads")?;
-            if t == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            t
-        }
-        None => runner::default_threads(),
-    };
-    let mut tol = Tolerances::default();
-    if let Some(v) = flag_value(args, "--tolerance")? {
-        tol.throughput_factor = parse_band_factor(&v, "--tolerance")?;
+    let probes: Vec<String> = list(args, "--probe", "kernel,lossy")?
+        .unwrap_or_else(|| BENCH_PROBES.iter().map(|s| s.to_string()).collect());
+    if let Some(p) = probes.iter().find(|p| !BENCH_PROBES.contains(&p.as_str())) {
+        let want = BENCH_PROBES.join(", ");
+        return Err(format!("unknown probe {p:?} (want one of {want})"));
     }
-    if let Some(v) = flag_value(args, "--wall-tolerance")? {
-        tol.wall_factor = parse_band_factor(&v, "--wall-tolerance")?;
-    }
+    let threads = threads(args)?;
+    // Tolerance band factors: finite numbers >= 1.
+    let band = |flag: &str, default: f64| match parsed::<f64>(args, flag, "")? {
+        Some(f) if !f.is_finite() || f < 1.0 => Err(format!("{flag} must be a finite factor >= 1")),
+        f => Ok(f.unwrap_or(default)),
+    };
+    let defaults = Tolerances::default();
+    let tol = Tolerances {
+        throughput_factor: band("--tolerance", defaults.throughput_factor)?,
+        wall_factor: band("--wall-tolerance", defaults.wall_factor)?,
+    };
 
     // Baseline envelopes always carry the deterministic metrics block
     // and the trace digest, so the check has exact fields to hold.
@@ -624,21 +1092,10 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// Parses a tolerance band factor: a finite number >= 1.
-fn parse_band_factor(v: &str, flag: &str) -> Result<f64, String> {
-    let f: f64 = v.parse().map_err(|_| format!("bad {flag}"))?;
-    if !f.is_finite() || f < 1.0 {
-        return Err(format!("{flag} must be a finite factor >= 1"));
-    }
-    Ok(f)
-}
-
 /// The `lint` subcommand: run the workspace invariant lints and report.
 fn cmd_lint(args: &[String]) -> Result<(), String> {
-    let format = flag_value(args, "--format")?.unwrap_or_else(|| "text".to_string());
-    if format != "text" && format != "json" {
-        return Err(format!("--format must be text|json, got {format:?}"));
-    }
+    check_flags("lint", args, "--root --format --allowlist", "")?;
+    let format = choice(args, "--format", &["text", "json"])?;
     let allowlist = flag_value(args, "--allowlist")?.map(PathBuf::from);
     let root = match flag_value(args, "--root")? {
         Some(r) => PathBuf::from(r),
@@ -663,630 +1120,4 @@ fn cmd_lint(args: &[String]) -> Result<(), String> {
     } else {
         Err(format!("{} lint finding(s)", report.findings.len()))
     }
-}
-
-/// Finalises a metrics-enabled `sim` run: folds the `sim.run` timer into
-/// the metadata, renders the full snapshot, and delivers it to `dest`
-/// (`-` = one JSON line on stdout). Returns the JSON so callers can also
-/// embed it in a bench envelope.
-fn finish_metrics(meta: &mut RunMetadata, dest: &str) -> Result<String, String> {
-    meta.aggregate_obs_timing();
-    let json = prlc_obs::snapshot().to_json();
-    if dest == "-" {
-        println!("{json}");
-    } else {
-        std::fs::write(dest, format!("{json}\n")).map_err(|e| format!("writing {dest}: {e}"))?;
-        println!("wrote metrics to {dest}");
-    }
-    Ok(json)
-}
-
-/// Finalises a trace-enabled run: renders the recorded trace in the
-/// requested format and delivers it to `dest` (`-` = stdout). Returns
-/// the rendering so callers can also embed it in a bench envelope.
-fn finish_trace(dest: &str, format: &str) -> Result<String, String> {
-    let snap = prlc_obs::trace::snapshot();
-    let rendered = match format {
-        "chrome" => snap.to_chrome_trace(),
-        _ => snap.to_json(),
-    };
-    if dest == "-" {
-        println!("{rendered}");
-    } else {
-        std::fs::write(dest, format!("{rendered}\n"))
-            .map_err(|e| format!("writing {dest}: {e}"))?;
-        println!("wrote trace to {dest}");
-    }
-    Ok(rendered)
-}
-
-/// The `trace` subcommand: replay one pinned-seed decoding run with the
-/// causal tracer on and print the per-level decode waterfall (coded
-/// blocks consumed at each level unlock).
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let scheme = match flag_value(args, "--scheme")?
-        .map(|s| s.to_ascii_lowercase())
-        .as_deref()
-    {
-        None | Some("plc") => Scheme::Plc,
-        Some("rlc") => Scheme::Rlc,
-        Some("slc") => Scheme::Slc,
-        Some(_) => return Err("trace: bad --scheme (rlc|slc|plc)".into()),
-    };
-    let level_sizes: Vec<usize> = match flag_value(args, "--levels")? {
-        Some(v) => v
-            .split(',')
-            .map(|s| s.trim().parse::<usize>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| "bad --levels (expect e.g. 2,3,5)")?,
-        None => vec![2, 3, 5],
-    };
-    let profile = PriorityProfile::new(level_sizes).map_err(|e| format!("bad --levels: {e}"))?;
-    let max_blocks = match flag_value(args, "--max-blocks")? {
-        Some(v) => v.parse().map_err(|_| "bad --max-blocks")?,
-        None => 3 * profile.total_blocks(),
-    };
-    let seed = match flag_value(args, "--seed")? {
-        Some(v) => v.parse().map_err(|_| "bad --seed")?,
-        None => 1,
-    };
-    let out = flag_value(args, "--out")?;
-    let format = flag_value(args, "--format")?.unwrap_or_else(|| "json".to_string());
-    if format != "json" && format != "chrome" {
-        return Err(format!("--format must be json|chrome, got {format:?}"));
-    }
-
-    print_kernel_header("trace");
-    println!(
-        "scheme {}, levels {:?}, 1 run, seed {seed}",
-        Persistence::Coding(scheme),
-        (0..profile.num_levels())
-            .map(|l| profile.blocks_of(l).count())
-            .collect::<Vec<_>>()
-    );
-
-    prlc_obs::trace::enable();
-    prlc_obs::trace::reset();
-    let cfg = CurveConfig {
-        persistence: Persistence::Coding(scheme),
-        profile: profile.clone(),
-        distribution: PriorityDistribution::uniform(profile.num_levels()),
-        max_blocks,
-        runs: 1,
-        seed,
-    };
-    simulate_decoding_curve_with_threads::<Gf256>(&cfg, 1);
-    let snap = prlc_obs::trace::snapshot();
-
-    // Per-level unlock ticks from the provenance instants: tick is the
-    // count of coded blocks the decoder had consumed at the unlock.
-    let mut unlock: Vec<Option<u64>> = vec![None; profile.num_levels()];
-    for (_, rec) in snap.iter() {
-        if rec.name() != "core.decode.level_unlock" {
-            continue;
-        }
-        if let Some(level) = rec.arg("level") {
-            if let Some(slot) = unlock.get_mut(level as usize) {
-                slot.get_or_insert(rec.tick());
-            }
-        }
-    }
-
-    let mut table = Table::new(["level", "size", "rows-to-unlock"]);
-    for l in 0..profile.num_levels() {
-        table.push_row([
-            (l + 1).to_string(),
-            profile.blocks_of(l).count().to_string(),
-            unlock[l].map_or_else(|| "-".to_string(), |t| t.to_string()),
-        ]);
-    }
-    println!("{}", table.render());
-    let unlocked = unlock.iter().filter(|u| u.is_some()).count();
-    println!(
-        "{unlocked}/{} levels unlocked within {max_blocks} coded blocks",
-        profile.num_levels()
-    );
-
-    if let Some(dest) = out {
-        finish_trace(&dest, &format)?;
-    }
-    Ok(())
-}
-
-/// Parses `--nodes` / `--locations` for the overlay-backed sim paths,
-/// with validation against the code parameters: an overlay that cannot
-/// hold a decodable deployment is rejected up front with an actionable
-/// message instead of failing deep inside the protocol.
-fn overlay_geometry(args: &[String], profile: &PriorityProfile) -> Result<(usize, usize), String> {
-    let total = profile.total_blocks();
-    let nodes: usize = match flag_value(args, "--nodes")? {
-        Some(v) => v.parse().map_err(|_| "bad --nodes")?,
-        None => 4 * total.max(20),
-    };
-    if nodes < 2 * total {
-        return Err(format!(
-            "--nodes {nodes} is too small for this code: {total} source blocks \
-             need at least {} nodes (2x the code width) to hold a decodable \
-             set of storage locations",
-            2 * total
-        ));
-    }
-    let locations: usize = match flag_value(args, "--locations")? {
-        Some(v) => v.parse().map_err(|_| "bad --locations")?,
-        // nodes/2 like the original sweeps, capped so that huge overlays
-        // (--nodes 100000) keep a code-sized deployment instead of
-        // scaling the location count with the network.
-        None => (nodes / 2).min(4 * total.max(20)),
-    };
-    if locations < total {
-        return Err(format!(
-            "--locations {locations} is below the code width {total}: the \
-             deployment could never be fully decodable"
-        ));
-    }
-    Ok((nodes, locations))
-}
-
-/// The `sim --adversary` path: per-epoch decoding degradation under a
-/// structured fault adversary, measured through the faulted transport.
-#[allow(clippy::too_many_arguments)]
-fn cmd_sim_adversary(
-    args: &[String],
-    persistence: Persistence,
-    profile: PriorityProfile,
-    distribution: PriorityDistribution,
-    runs: usize,
-    seed: u64,
-    threads: usize,
-    meta: &mut RunMetadata,
-    metrics_out: Option<&str>,
-) -> Result<(), String> {
-    let Persistence::Coding(scheme) = persistence else {
-        return Err("--adversary needs a coding scheme (rlc|slc|plc): the \
-                    baselines have no networked persistence path"
-            .into());
-    };
-    let (nodes, locations) = overlay_geometry(args, &profile)?;
-    let intensity = flag_value(args, "--adv-intensity")?;
-    let strategy = match flag_value(args, "--adversary")?.as_deref() {
-        Some("region") => {
-            let fraction: f64 = match intensity.as_deref() {
-                Some(v) => v.parse().map_err(|_| "bad --adv-intensity")?,
-                None => 0.05,
-            };
-            let segment_len: usize = match flag_value(args, "--adv-segment")?.as_deref() {
-                Some(v) => v.parse().map_err(|_| "bad --adv-segment")?,
-                None => 4,
-            };
-            if !(0.0..=1.0).contains(&fraction) {
-                return Err("--adv-intensity (region fraction) must be in [0,1]".into());
-            }
-            if segment_len == 0 {
-                return Err("--adv-segment must be at least 1".into());
-            }
-            AdversaryStrategy::Region {
-                fraction,
-                segment_len,
-            }
-        }
-        Some("eclipse") => {
-            let loss: f64 = match intensity.as_deref() {
-                Some(v) => v.parse().map_err(|_| "bad --adv-intensity")?,
-                None => 0.9,
-            };
-            if !(0.0..=1.0).contains(&loss) {
-                return Err("--adv-intensity (eclipse loss) must be in [0,1]".into());
-            }
-            AdversaryStrategy::Eclipse { loss }
-        }
-        Some("targeted") => {
-            let kills: usize = match intensity.as_deref() {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| "bad --adv-intensity (targeted takes a kill count)")?,
-                None => locations / 4,
-            };
-            let focus: f64 = match flag_value(args, "--adv-focus")?.as_deref() {
-                Some(v) => v.parse().map_err(|_| "bad --adv-focus")?,
-                None => 1.0,
-            };
-            if !(0.0..=1.0).contains(&focus) {
-                return Err("--adv-focus must be in [0,1]".into());
-            }
-            AdversaryStrategy::Targeted { kills, focus }
-        }
-        Some("creep") => {
-            let per_epoch: f64 = match intensity.as_deref() {
-                Some(v) => v.parse().map_err(|_| "bad --adv-intensity")?,
-                None => 0.1,
-            };
-            if !(0.0..=1.0).contains(&per_epoch) {
-                return Err("--adv-intensity (creep rate) must be in [0,1]".into());
-            }
-            AdversaryStrategy::Creep { per_epoch }
-        }
-        Some(v) => {
-            return Err(format!(
-                "bad --adversary {v:?} (want region|eclipse|targeted|creep)"
-            ))
-        }
-        None => return Err("--adversary missing".into()),
-    };
-    let epochs: usize = match flag_value(args, "--epochs")? {
-        Some(v) => {
-            let e = v.parse().map_err(|_| "bad --epochs")?;
-            if e == 0 {
-                return Err("--epochs must be at least 1".into());
-            }
-            e
-        }
-        None => 4,
-    };
-    let churn: f64 = match flag_value(args, "--churn")? {
-        Some(v) => v.parse().map_err(|_| "bad --churn")?,
-        None => 0.0,
-    };
-    if !(0.0..=1.0).contains(&churn) {
-        return Err("--churn must be in [0,1]".into());
-    }
-    let repair_donors: Option<usize> = match flag_value(args, "--repair")? {
-        Some(v) => {
-            let d: usize = v.parse().map_err(|_| "bad --repair")?;
-            if d == 0 {
-                return Err("--repair needs at least one donor per slot".into());
-            }
-            Some(d)
-        }
-        None => None,
-    };
-    let loss: f64 = match flag_value(args, "--loss")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| "bad --loss (an adversary sweep takes a single rate)")?,
-        None => 0.0,
-    };
-    if !(0.0..=1.0).contains(&loss) {
-        return Err("--loss must be in [0,1]".into());
-    }
-    let retries: usize = match flag_value(args, "--retries")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| "bad --retries (an adversary sweep takes a single budget)")?,
-        None => 0,
-    };
-    let fanout = match flag_value(args, "--fanout")?.as_deref() {
-        None | Some("all") => SourceFanout::All,
-        Some(v) => match v.strip_prefix("log:") {
-            Some(f) => {
-                let factor: f64 = f.parse().map_err(|_| "bad --fanout factor")?;
-                if !factor.is_finite() || factor <= 0.0 {
-                    return Err("--fanout log factor must be finite and > 0".into());
-                }
-                SourceFanout::Log { factor }
-            }
-            None => return Err(format!("bad --fanout {v:?} (want all or log:F)")),
-        },
-    };
-    let coeff_rep = match flag_value(args, "--coeff")?.as_deref() {
-        None | Some("dense") => CoeffRep::Dense,
-        Some("sparse") => CoeffRep::Sparse,
-        Some(v) => return Err(format!("bad --coeff {v:?} (want dense or sparse)")),
-    };
-    let faults = if loss > 0.0 {
-        FaultPlan::lossy(loss, RetryPolicy::with_retries(retries, 1), seed)
-    } else {
-        FaultPlan::none()
-    };
-
-    println!(
-        "adversary sweep: {strategy:?}, {nodes} nodes, {locations} locations, \
-         {epochs} epochs, churn {}, repair {}, loss {}",
-        fmt_f(churn, 2),
-        repair_donors.map_or_else(|| "off".to_string(), |d| format!("{d} donors")),
-        fmt_f(loss, 2),
-    );
-    let cfg = AdversarySweepConfig {
-        scheme,
-        profile,
-        distribution,
-        nodes,
-        locations,
-        adversary: AdversaryPlan {
-            strategy,
-            after_messages: 0,
-            seed,
-        },
-        epochs,
-        churn_per_epoch: churn,
-        repair_donors,
-        faults,
-        fanout,
-        coeff_rep,
-        runs,
-        seed,
-    };
-    let out = simulate_adversary_sweep_with_threads::<Gf256>(&cfg, threads);
-
-    let mut table = Table::new(["epoch", "levels", "ci95", "survival"]);
-    for e in &out {
-        let survival: Vec<String> = e.level_survival.iter().map(|s| fmt_f(*s, 2)).collect();
-        table.push_row([
-            e.epoch.to_string(),
-            fmt_f(e.decoded_levels.mean, 3),
-            fmt_f(e.decoded_levels.ci95, 3),
-            survival.join(" "),
-        ]);
-    }
-    println!("{}", table.render());
-
-    let metrics_json = match metrics_out {
-        Some(dest) => Some(finish_metrics(meta, dest)?),
-        None => None,
-    };
-    let trace_out = flag_value(args, "--trace")?;
-    let trace_format = flag_value(args, "--trace-format")?.unwrap_or_else(|| "json".to_string());
-    let trace_json = match trace_out.as_deref() {
-        Some(dest) => Some(finish_trace(dest, &trace_format)?),
-        None => None,
-    };
-
-    if let Some(path) = flag_value(args, "--bench-out")? {
-        meta.write_bench_json_with_blocks(
-            std::path::Path::new(&path),
-            &adversary_results_json(&out),
-            metrics_json.as_deref(),
-            trace_json.as_deref(),
-        )
-        .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote adversary sweep + run metadata to {path}");
-    }
-    Ok(())
-}
-
-/// The `sim --epochs` path: a long-horizon persistence timeline on the
-/// event-driven protocol runtime — churn epoch after churn epoch, with
-/// optional in-network repair and fault-injected protocol sessions.
-#[allow(clippy::too_many_arguments)]
-fn cmd_sim_timeline(
-    args: &[String],
-    persistence: Persistence,
-    profile: PriorityProfile,
-    distribution: PriorityDistribution,
-    runs: usize,
-    seed: u64,
-    threads: usize,
-    meta: &mut RunMetadata,
-    metrics_out: Option<&str>,
-) -> Result<(), String> {
-    let Persistence::Coding(scheme) = persistence else {
-        return Err("--epochs needs a coding scheme (rlc|slc|plc): the \
-                    baselines have no networked persistence path"
-            .into());
-    };
-    let epochs: usize = flag_value(args, "--epochs")?
-        .ok_or("--epochs missing")?
-        .parse()
-        .map_err(|_| "bad --epochs")?;
-    if epochs == 0 {
-        return Err("--epochs must be at least 1".into());
-    }
-    let churn: f64 = match flag_value(args, "--churn")? {
-        Some(v) => v.parse().map_err(|_| "bad --churn")?,
-        None => 0.2,
-    };
-    if !(0.0..=1.0).contains(&churn) {
-        return Err("--churn must be in [0,1]".into());
-    }
-    let repair_donors: Option<usize> = match flag_value(args, "--repair")? {
-        Some(v) => {
-            let d: usize = v.parse().map_err(|_| "bad --repair")?;
-            if d == 0 {
-                return Err("--repair needs at least one donor per slot".into());
-            }
-            Some(d)
-        }
-        None => None,
-    };
-    let loss: f64 = match flag_value(args, "--loss")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| "bad --loss (a timeline takes a single rate)")?,
-        None => 0.0,
-    };
-    if !(0.0..=1.0).contains(&loss) {
-        return Err("--loss must be in [0,1]".into());
-    }
-    let retries: usize = match flag_value(args, "--retries")? {
-        Some(v) => v
-            .parse()
-            .map_err(|_| "bad --retries (a timeline takes a single budget)")?,
-        None => 0,
-    };
-    let (nodes, locations) = overlay_geometry(args, &profile)?;
-    let fanout = match flag_value(args, "--fanout")?.as_deref() {
-        None | Some("all") => SourceFanout::All,
-        Some(v) => match v.strip_prefix("log:") {
-            Some(f) => {
-                let factor: f64 = f.parse().map_err(|_| "bad --fanout factor")?;
-                if !factor.is_finite() || factor <= 0.0 {
-                    return Err("--fanout log factor must be finite and > 0".into());
-                }
-                SourceFanout::Log { factor }
-            }
-            None => return Err(format!("bad --fanout {v:?} (want all or log:F)")),
-        },
-    };
-    let coeff_rep = match flag_value(args, "--coeff")?.as_deref() {
-        None | Some("dense") => CoeffRep::Dense,
-        Some("sparse") => CoeffRep::Sparse,
-        Some(v) => return Err(format!("bad --coeff {v:?} (want dense or sparse)")),
-    };
-    let faults = if loss > 0.0 {
-        FaultPlan::lossy(loss, RetryPolicy::with_retries(retries, 1), seed)
-    } else {
-        FaultPlan::none()
-    };
-
-    println!(
-        "persistence timeline: {nodes} nodes, {locations} locations, \
-         {epochs} epochs, churn {}, repair {}, loss {}",
-        fmt_f(churn, 2),
-        repair_donors.map_or_else(|| "off".to_string(), |d| format!("{d} donors")),
-        fmt_f(loss, 2),
-    );
-    let cfg = TimelineConfig {
-        scheme,
-        profile,
-        distribution,
-        nodes,
-        locations,
-        churn_per_epoch: churn,
-        epochs,
-        repair_donors,
-        faults,
-        fanout,
-        coeff_rep,
-        runs,
-        seed,
-    };
-    let summaries = simulate_persistence_timeline_with_threads::<Gf256>(&cfg, threads)
-        .map_err(|e| format!("timeline simulation failed: {e}"))?;
-
-    let mut table = Table::new(["epoch", "levels", "ci95"]);
-    for (epoch, s) in summaries.iter().enumerate() {
-        table.push_row([epoch.to_string(), fmt_f(s.mean, 3), fmt_f(s.ci95, 3)]);
-    }
-    println!("{}", table.render());
-
-    let metrics_json = match metrics_out {
-        Some(dest) => Some(finish_metrics(meta, dest)?),
-        None => None,
-    };
-    let trace_out = flag_value(args, "--trace")?;
-    let trace_format = flag_value(args, "--trace-format")?.unwrap_or_else(|| "json".to_string());
-    let trace_json = match trace_out.as_deref() {
-        Some(dest) => Some(finish_trace(dest, &trace_format)?),
-        None => None,
-    };
-
-    if let Some(path) = flag_value(args, "--bench-out")? {
-        meta.write_bench_json_with_blocks(
-            std::path::Path::new(&path),
-            &timeline_results_json(&summaries),
-            metrics_json.as_deref(),
-            trace_json.as_deref(),
-        )
-        .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote persistence timeline + run metadata to {path}");
-    }
-    Ok(())
-}
-
-/// The `sim --loss/--retries` path: collection over a fault-injected
-/// transport, swept across the loss × retry-budget grid.
-#[allow(clippy::too_many_arguments)]
-fn cmd_sim_lossy(
-    args: &[String],
-    persistence: Persistence,
-    profile: PriorityProfile,
-    distribution: PriorityDistribution,
-    runs: usize,
-    seed: u64,
-    threads: usize,
-    meta: &mut RunMetadata,
-    metrics_out: Option<&str>,
-    losses: Option<&str>,
-    retries: Option<&str>,
-) -> Result<(), String> {
-    let Persistence::Coding(scheme) = persistence else {
-        return Err("--loss/--retries need a coding scheme (rlc|slc|plc): the \
-                    baselines have no networked collection path"
-            .into());
-    };
-    let losses: Vec<f64> = match losses {
-        Some(v) => v
-            .split(',')
-            .map(|s| s.trim().parse::<f64>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| "bad --loss (expect e.g. 0,0.2,0.5)")?,
-        None => vec![0.0, 0.1, 0.3, 0.5],
-    };
-    if losses.iter().any(|p| !(0.0..=1.0).contains(p)) {
-        return Err("--loss rates must be in [0,1]".into());
-    }
-    let retry_budgets: Vec<usize> = match retries {
-        Some(v) => v
-            .split(',')
-            .map(|s| s.trim().parse::<usize>())
-            .collect::<Result<_, _>>()
-            .map_err(|_| "bad --retries (expect e.g. 0,1,3)")?,
-        None => vec![0, 1, 3],
-    };
-    if losses.is_empty() || retry_budgets.is_empty() {
-        return Err("--loss and --retries need at least one value each".into());
-    }
-
-    let (nodes, locations) = overlay_geometry(args, &profile)?;
-    let cfg = LossyCollectionConfig {
-        scheme,
-        profile,
-        distribution,
-        nodes,
-        locations,
-        node_failure: 0.3,
-        backoff_hops: 1,
-        runs,
-        seed,
-    };
-    println!(
-        "lossy collection: {} nodes, {} locations, 30% node failure",
-        cfg.nodes, cfg.locations
-    );
-    let sweep = persistence_under_lossy_collection_with_threads::<Gf256>(
-        &cfg,
-        &losses,
-        &retry_budgets,
-        threads,
-    )
-    .map_err(|e| format!("lossy-collection sweep failed: {e}"))?;
-
-    let mut table = Table::new([
-        "loss", "retries", "levels", "ci95", "lost", "resent", "gave-up", "hops",
-    ]);
-    for cell in &sweep.cells {
-        table.push_row([
-            fmt_f(cell.loss, 2),
-            cell.retries.to_string(),
-            fmt_f(cell.decoded_levels.mean, 3),
-            fmt_f(cell.decoded_levels.ci95, 3),
-            fmt_f(cell.lost_messages, 1),
-            fmt_f(cell.retries_spent, 1),
-            fmt_f(cell.gave_up, 1),
-            fmt_f(cell.query_hops, 0),
-        ]);
-    }
-    println!("{}", table.render());
-
-    let metrics_json = match metrics_out {
-        Some(dest) => Some(finish_metrics(meta, dest)?),
-        None => None,
-    };
-    let trace_out = flag_value(args, "--trace")?;
-    let trace_format = flag_value(args, "--trace-format")?.unwrap_or_else(|| "json".to_string());
-    let trace_json = match trace_out.as_deref() {
-        Some(dest) => Some(finish_trace(dest, &trace_format)?),
-        None => None,
-    };
-
-    if let Some(path) = flag_value(args, "--bench-out")? {
-        meta.write_bench_json_with_blocks(
-            std::path::Path::new(&path),
-            &sweep.results_json(),
-            metrics_json.as_deref(),
-            trace_json.as_deref(),
-        )
-        .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote lossy-collection sweep + run metadata to {path}");
-    }
-    Ok(())
 }

@@ -639,3 +639,71 @@ fn bench_write_check_and_negative_roundtrip() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown probe"));
     fs::remove_dir_all(dir).unwrap();
 }
+
+/// A flag a subcommand does not take is an error naming it, not
+/// silently ignored.
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    let out = prlc().args(["sim", "--epoch", "3"]).output().unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --epoch"), "{err}");
+
+    let dir = temp_dir("unknown-flag");
+    let input = dir.join("f.bin");
+    fs::write(&input, [7u8; 100]).unwrap();
+    let shards = dir.join("shards");
+    let (input, shards) = (input.to_str().unwrap(), shards.to_str().unwrap());
+    let out = prlc()
+        .args(["encode", input, "--out", shards, "--overhed", "5"])
+        .output()
+        .unwrap();
+    assert!(!out.status.success());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --overhed"), "{err}");
+    assert!(!std::path::Path::new(shards).exists(), "encode ran anyway");
+    fs::remove_dir_all(dir).unwrap();
+}
+
+/// Every `sim` mode writes a versioned envelope the baseline differ
+/// accepts, and a 1-thread and a 4-thread run of the same pinned seed
+/// differ in no deterministic field.
+#[test]
+fn sim_envelopes_pass_the_differ_across_thread_counts() {
+    use prlc_obs::baseline::{diff_envelopes, Tolerances};
+
+    let dir = temp_dir("sim-differ");
+    let modes = [
+        "",
+        "--loss 0.2 --retries 1",
+        "--epochs 2 --churn 0.15 --repair 3 --loss 0.2",
+        "--adversary targeted --adv-intensity 20 --epochs 2",
+    ];
+    for (i, mode) in modes.iter().enumerate() {
+        let envelope = |threads: &str| {
+            let path = |name: &str| dir.join(format!("{i}-{threads}-{name}"));
+            let (metrics, trace, bench) = (path("m.json"), path("t.json"), path("b.json"));
+            let common = format!("--nodes 200 --runs 5 --seed 3 --threads {threads}");
+            let out = prlc()
+                .arg("sim")
+                .args(mode.split_whitespace().chain(common.split_whitespace()))
+                .args(["--metrics", metrics.to_str().unwrap()])
+                .args(["--trace", trace.to_str().unwrap()])
+                .args(["--bench-out", bench.to_str().unwrap()])
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "{mode:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            fs::read_to_string(bench).unwrap()
+        };
+        let (one, four) = (envelope("1"), envelope("4"));
+        assert!(one.contains(",\"metrics\":{\"counters\""), "{one}");
+        assert!(one.contains(",\"trace\":{\"tracks\""), "{one}");
+        let report = diff_envelopes("sim", &one, &four, &Tolerances::default()).unwrap();
+        assert!(report.clean(), "{mode:?}: {:?}", report.findings);
+    }
+    fs::remove_dir_all(dir).unwrap();
+}

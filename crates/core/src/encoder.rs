@@ -4,14 +4,13 @@ use prlc_gf::{kernel, GfElem};
 use prlc_linalg::{CoeffRep, CoeffRow};
 use rand::seq::index::sample;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::block::CodedBlock;
 use crate::priority::{PriorityDistribution, PriorityProfile};
 use crate::scheme::Scheme;
 
 /// How many source blocks a coded block combines within its support.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Degree {
     /// Every source block in the support gets a nonzero coefficient —
     /// the textbook construction of Sec. 3.1.

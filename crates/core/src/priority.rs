@@ -5,7 +5,6 @@ use std::fmt;
 use std::ops::Range;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How `N` source blocks are divided into `n` priority levels.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PriorityProfile {
     sizes: Vec<usize>,
     /// `bounds[i] = sizes[0] + … + sizes[i-1]`; `bounds[0] == 0` and
@@ -178,7 +177,7 @@ impl PriorityProfile {
 ///
 /// Invariant: entries are non-negative and sum to 1 (within floating
 /// point tolerance; construction normalises).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PriorityDistribution(Vec<f64>);
 
 /// Error constructing a [`PriorityDistribution`].
@@ -307,7 +306,7 @@ impl PriorityDistribution {
 /// A decoding constraint `(M_i, k_i)` from Sec. 3.3: from `m` randomly
 /// accumulated coded blocks, the expected number of decoded levels must
 /// be at least `min_levels`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DecodingConstraint {
     /// The number of randomly accumulated coded blocks `M_i`.
     pub blocks: usize,

@@ -3,12 +3,10 @@
 use std::fmt;
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::priority::PriorityProfile;
 
 /// Which linear code generates a coded block (Fig. 1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// Random linear codes: every coded block combines all `N` source
     /// blocks. Decoding is all-or-nothing.

@@ -16,11 +16,9 @@
 //! independently, so a low-priority island can complete while a
 //! higher level is missing).
 
-use serde::{Deserialize, Serialize};
-
 /// A per-level utility assignment (non-negative weights, most important
 /// level first).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UtilityFunction {
     weights: Vec<f64>,
 }

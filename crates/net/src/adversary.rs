@@ -46,7 +46,6 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use prlc_gf::GfElem;
 
@@ -66,7 +65,7 @@ fn mix_adversary_seed(seed: u64) -> u64 {
 }
 
 /// One of the four structured attack strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AdversaryStrategy {
     /// Correlated regional outage: when the strike fires, every node
     /// still up anchors — with probability `fraction` — a crash of the
@@ -110,7 +109,7 @@ pub enum AdversaryStrategy {
 }
 
 /// A complete, seeded adversary plan for one protocol run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdversaryPlan {
     /// Which attack to mount.
     pub strategy: AdversaryStrategy,

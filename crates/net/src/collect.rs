@@ -15,7 +15,6 @@
 use prlc_gf::GfElem;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 use prlc_core::PriorityDecoder;
@@ -49,7 +48,7 @@ impl NodeLocator for crate::plane::PlaneNetwork {
 }
 
 /// Options for a collection run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CollectionConfig {
     /// Stop as soon as this many priority levels are decoded (`None`
     /// collects until complete or exhausted) — the early-stop behaviour
@@ -58,7 +57,7 @@ pub struct CollectionConfig {
 }
 
 /// The outcome of a collection run.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CollectionReport {
     /// Decoded-levels trajectory: entry `i` is the decoder state after
     /// `i + 1` collected blocks (the simulated decoding curve).

@@ -28,12 +28,11 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::network::NodeId;
 
 /// Behaviour of an individual message transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Probability that one transmission is lost in transit.
     pub loss: f64,
@@ -67,7 +66,7 @@ impl Default for LinkModel {
 /// A scheduled churn event: once the session has processed
 /// `after_messages` transmission attempts, every node not yet crashed
 /// goes down independently with probability `fraction`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnEvent {
     /// Message-step count at which the event fires.
     pub after_messages: usize,
@@ -76,7 +75,7 @@ pub struct ChurnEvent {
 }
 
 /// Bounded retry with a hop-metric backoff surcharge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total transmission attempts per message (>= 1; the first send
     /// plus `max_attempts - 1` retries).
@@ -112,7 +111,7 @@ impl Default for RetryPolicy {
 }
 
 /// A complete, seeded fault plan for one protocol run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Link behaviour for every message.
     pub link: LinkModel,

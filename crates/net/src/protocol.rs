@@ -24,7 +24,6 @@ use prlc_gf::GfElem;
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::event::NodeScratch;
@@ -32,7 +31,7 @@ use crate::fault::{DeliveryOutcome, FaultPlan, FaultSession};
 use crate::network::{Network, NodeId};
 
 /// How many of its eligible storage locations each source block visits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SourceFanout {
     /// Every eligible location (the dense construction).
     All,
@@ -166,7 +165,7 @@ pub struct StorageSlot<F: GfElem> {
 }
 
 /// Cost and balance metrics of one pre-distribution run.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DistributionMetrics {
     /// Messages sent (one per source-block delivery attempt that found a
     /// route).

@@ -23,14 +23,13 @@ use prlc_core::{CodedBlock, Scheme};
 use prlc_gf::GfElem;
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::collect::NodeLocator;
 use crate::fault::{DeliveryOutcome, FaultPlan, FaultSession};
 use crate::protocol::Deployment;
 
 /// Configuration of one repair pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RefreshConfig {
     /// Scheme the deployment was encoded with (constrains donor
     /// eligibility).
@@ -42,7 +41,7 @@ pub struct RefreshConfig {
 }
 
 /// Outcome of a repair pass.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RefreshReport {
     /// Slots whose block was re-created on a new alive node.
     pub repaired: usize,

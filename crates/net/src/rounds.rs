@@ -14,7 +14,6 @@ use std::collections::VecDeque;
 
 use prlc_gf::GfElem;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultSession;
 use crate::network::Network;
@@ -23,7 +22,7 @@ use crate::protocol::{
 };
 
 /// Identifies one measurement round (monotonically increasing).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RoundId(u64);
 
 impl RoundId {

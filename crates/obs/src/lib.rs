@@ -602,7 +602,11 @@ pub struct Snapshot {
     pub events_dropped: u64,
 }
 
-pub(crate) fn json_escape(s: &str, out: &mut String) {
+/// Appends `s` to `out` escaped for use inside a JSON string literal:
+/// `"` and `\` are backslash-escaped and control characters become
+/// `\u00XX`. The workspace's one JSON string escaper (the std-only
+/// linter keeps its own).
+pub fn json_escape(s: &str, out: &mut String) {
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),
@@ -614,7 +618,9 @@ pub(crate) fn json_escape(s: &str, out: &mut String) {
 }
 
 impl Snapshot {
-    fn deterministic_body(&self) -> String {
+    /// JSON without any wall-clock content: byte-identical across
+    /// thread counts for a fixed workload.
+    pub fn to_deterministic_json(&self) -> String {
         let mut s = String::from("{\"counters\":{");
         for (i, (name, v)) in self.counters.iter().enumerate() {
             if i > 0 {
@@ -673,18 +679,12 @@ impl Snapshot {
         s
     }
 
-    /// JSON without any wall-clock content: byte-identical across
-    /// thread counts for a fixed workload.
-    pub fn to_deterministic_json(&self) -> String {
-        self.deterministic_body()
-    }
-
     /// Full JSON. The non-deterministic `"timers"` object is emitted as
     /// the **final** key, so `to_json()` is exactly
     /// [`Self::to_deterministic_json`] with `,"timers":{...}` spliced
     /// in before the closing brace — trivially strippable.
     pub fn to_json(&self) -> String {
-        let mut s = self.deterministic_body();
+        let mut s = self.to_deterministic_json();
         s.pop(); // closing brace
         s.push_str(",\"timers\":{");
         for (i, (name, t)) in self.timers.iter().enumerate() {
@@ -981,85 +981,6 @@ mod tests {
         disable();
     }
 
-    /// Minimal JSON well-formedness checker for the round-trip test (no
-    /// serde in this workspace): returns the index after one value.
-    fn json_value(b: &[u8], mut i: usize) -> Result<usize, String> {
-        fn ws(b: &[u8], mut i: usize) -> usize {
-            while b.get(i).is_some_and(|c| c.is_ascii_whitespace()) {
-                i += 1;
-            }
-            i
-        }
-        i = ws(b, i);
-        match b.get(i) {
-            Some(b'{') => {
-                i = ws(b, i + 1);
-                if b.get(i) == Some(&b'}') {
-                    return Ok(i + 1);
-                }
-                loop {
-                    i = json_value(b, i)?; // key (validated as a value; must be a string)
-                    i = ws(b, i);
-                    if b.get(i) != Some(&b':') {
-                        return Err(format!("expected ':' at {i}"));
-                    }
-                    i = json_value(b, i + 1)?;
-                    i = ws(b, i);
-                    match b.get(i) {
-                        Some(b',') => i += 1,
-                        Some(b'}') => return Ok(i + 1),
-                        _ => return Err(format!("expected ',' or '}}' at {i}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                i = ws(b, i + 1);
-                if b.get(i) == Some(&b']') {
-                    return Ok(i + 1);
-                }
-                loop {
-                    i = json_value(b, i)?;
-                    i = ws(b, i);
-                    match b.get(i) {
-                        Some(b',') => i += 1,
-                        Some(b']') => return Ok(i + 1),
-                        _ => return Err(format!("expected ',' or ']' at {i}")),
-                    }
-                }
-            }
-            Some(b'"') => {
-                i += 1;
-                while let Some(&c) = b.get(i) {
-                    match c {
-                        b'"' => return Ok(i + 1),
-                        b'\\' => i += 2,
-                        _ => i += 1,
-                    }
-                }
-                Err("unterminated string".to_string())
-            }
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                i += 1;
-                while b
-                    .get(i)
-                    .is_some_and(|c| c.is_ascii_digit() || b".eE+-".contains(c))
-                {
-                    i += 1;
-                }
-                Ok(i)
-            }
-            Some(b't') => Ok(i + 4),
-            Some(b'f') => Ok(i + 5),
-            Some(b'n') => Ok(i + 4),
-            other => Err(format!("unexpected {other:?} at {i}")),
-        }
-    }
-
-    fn assert_json_well_formed(s: &str) {
-        let end = json_value(s.as_bytes(), 0).unwrap_or_else(|e| panic!("{e} in {s}"));
-        assert_eq!(end, s.len(), "trailing garbage in {s}");
-    }
-
     #[test]
     fn exports_round_trip_as_well_formed_documents() {
         let _g = guarded();
@@ -1071,8 +992,9 @@ mod tests {
         let _ = r.timer("sim.run");
         r.record_event("net.churn", 2, "crash", 1);
         let snap = r.snapshot();
-        assert_json_well_formed(&snap.to_json());
-        assert_json_well_formed(&snap.to_deterministic_json());
+        for json in [snap.to_json(), snap.to_deterministic_json()] {
+            baseline::parse_json(&json).unwrap_or_else(|e| panic!("{e} in {json}"));
+        }
         // Prometheus: every sample line must be `name{labels} value` or
         // `name value` with a numeric value, even with hostile names.
         for line in snap.to_prometheus().lines() {

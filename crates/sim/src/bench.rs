@@ -32,13 +32,13 @@ use std::collections::BTreeMap;
 use prlc_core::{Encoder, PriorityDistribution, PriorityProfile, Scheme};
 use prlc_gf::{kernel, Gf256};
 use prlc_net::{AdversaryPlan, AdversaryStrategy, CoeffRep, FaultPlan, RetryPolicy, SourceFanout};
-use prlc_obs::baseline::{digest64, BENCH_SCHEMA_VERSION, SCHEMA_VERSION_KEY};
+use prlc_obs::baseline::digest64;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use crate::metadata::{
-    measure_symbol_throughput_mb_s, measure_symbol_throughput_mb_s_with, measure_wall_ms,
-    run_probe_and_reset,
+    json_measurement, measure_symbol_throughput_mb_s, measure_symbol_throughput_mb_s_with,
+    measure_wall_ms, run_probe_and_reset, Envelope, RunMetadata,
 };
 use crate::{
     adversary_results_json, persistence_under_lossy_collection_with_threads,
@@ -81,71 +81,31 @@ pub fn run_bench_probe(probe: &str, threads: usize) -> Result<String, String> {
 // Envelope assembly
 // ---------------------------------------------------------------------------
 
-/// Everything a probe contributes beyond its run metadata.
-struct ProbeOutput {
-    /// Probe name (the `"probe"` field).
-    probe: &'static str,
-    /// Probe configuration as a JSON object (deterministic).
-    config_json: String,
-    /// Deterministic metrics block, when the recorder was enabled.
-    metrics_json: Option<String>,
-    /// FNV-1a digest of the full trace dump, when tracing was enabled.
-    trace_digest: Option<String>,
-    /// Result rows as a JSON array (deterministic).
-    results_json: String,
-    /// Pinned RNG end state, for probes that own their generator.
-    rng_end_state: Option<String>,
-    /// Elapsed wall-clock of the workload, in milliseconds.
+/// A simulation probe's envelope: the recorders' blocks taken now (a
+/// metrics block and a trace digest, per enabled recorder), the `sim.run`
+/// timer folded into `meta`, and the probe's own fields.
+fn probe_envelope(
+    mut meta: RunMetadata,
+    probe: &str,
+    config: &str,
+    results: &str,
+    rng_end_state: Option<&str>,
     wall_ms: f64,
-}
-
-/// Renders the versioned envelope:
-/// `{"bench_schema_version":1,"probe":...,"config":...,"run_metadata":...`
-/// `[,"metrics":...][,"trace_digest":...],"results":...`
-/// `[,"rng_end_state":...],"wall_ms":...}`.
-fn envelope(meta: &crate::RunMetadata, out: &ProbeOutput) -> String {
-    let mut s = format!(
-        "{{\"{}\":{},\"probe\":\"{}\",\"config\":{},\"run_metadata\":{}",
-        SCHEMA_VERSION_KEY,
-        BENCH_SCHEMA_VERSION,
-        out.probe,
-        out.config_json,
-        meta.to_json()
-    );
-    if let Some(m) = &out.metrics_json {
-        s.push_str(",\"metrics\":");
-        s.push_str(m);
-    }
-    if let Some(d) = &out.trace_digest {
-        s.push_str(&format!(",\"trace_digest\":\"{d}\""));
-    }
-    s.push_str(",\"results\":");
-    s.push_str(&out.results_json);
-    if let Some(r) = &out.rng_end_state {
-        s.push_str(&format!(",\"rng_end_state\":\"{r}\""));
-    }
-    if out.wall_ms.is_finite() {
-        s.push_str(&format!(",\"wall_ms\":{:.1}}}\n", out.wall_ms));
-    } else {
-        s.push_str(",\"wall_ms\":null}\n");
-    }
-    s
-}
-
-/// Snapshot of the recorders after a probe, ready for the envelope:
-/// `Some((metrics_json, trace_digest))` per enabled recorder.
-fn recorder_blocks() -> (Option<String>, Option<String>) {
-    let metrics = if prlc_obs::enabled() {
-        Some(deterministic_metrics_json(&prlc_obs::snapshot()))
-    } else {
-        None
-    };
-    let trace = if prlc_obs::trace::enabled() {
-        Some(digest64(&prlc_obs::trace::snapshot().to_json()))
-    } else {
-        None
-    };
-    (metrics, trace)
+) -> String {
+    let metrics = prlc_obs::enabled().then(|| deterministic_metrics_json(&prlc_obs::snapshot()));
+    let trace_digest =
+        prlc_obs::trace::enabled().then(|| digest64(&prlc_obs::trace::snapshot().to_json()));
+    meta.aggregate_obs_timing();
+    meta.envelope(&Envelope {
+        probe: Some(probe),
+        config: Some(config),
+        metrics: metrics.as_deref(),
+        trace_digest: trace_digest.as_deref(),
+        results,
+        rng_end_state,
+        wall_ms: Some(wall_ms),
+        ..Envelope::default()
+    })
 }
 
 /// The metrics block a baseline can hold: counters, histogram bounds and
@@ -167,48 +127,35 @@ fn deterministic_metrics_json(snap: &prlc_obs::Snapshot) -> String {
         }
         *counters.entry(merge_backend_suffix(name)).or_insert(0) += v;
     }
-    let mut s = String::from("{\"counters\":{");
-    for (i, (name, v)) in counters.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&format!("\"{name}\":{v}"));
+    fn join(items: impl Iterator<Item = String>) -> String {
+        items.collect::<Vec<_>>().join(",")
     }
-    s.push_str("},\"histogram_bounds\":[");
-    for (i, b) in prlc_obs::BUCKET_BOUNDS.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&b.to_string());
-    }
-    s.push_str("],\"histograms\":{");
-    let mut first = true;
-    for (name, h) in &snap.histograms {
-        if h.count == 0 {
-            continue;
-        }
-        if !first {
-            s.push(',');
-        }
-        first = false;
-        s.push_str(&format!("\"{name}\":{{\"counts\":["));
-        for (j, c) in h.counts.iter().enumerate() {
-            if j > 0 {
-                s.push(',');
-            }
-            s.push_str(&c.to_string());
-        }
-        s.push_str(&format!("],\"sum\":{},\"count\":{}", h.sum, h.count));
-        for (key, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
-            match h.percentile(q) {
-                Some(v) => s.push_str(&format!(",\"{key}\":{v}")),
-                None => s.push_str(&format!(",\"{key}\":null")),
-            }
-        }
-        s.push('}');
-    }
-    s.push_str("}}");
-    s
+    let histogram = |name: &str, h: &prlc_obs::HistogramSnapshot| {
+        let percentiles: String = [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)]
+            .iter()
+            .map(|(key, q)| match h.percentile(*q) {
+                Some(v) => format!(",\"{key}\":{v}"),
+                None => format!(",\"{key}\":null"),
+            })
+            .collect();
+        format!(
+            "\"{name}\":{{\"counts\":[{}],\"sum\":{},\"count\":{}{percentiles}}}",
+            join(h.counts.iter().map(u64::to_string)),
+            h.sum,
+            h.count
+        )
+    };
+    format!(
+        "{{\"counters\":{{{}}},\"histogram_bounds\":[{}],\"histograms\":{{{}}}}}",
+        join(counters.iter().map(|(name, v)| format!("\"{name}\":{v}"))),
+        join(prlc_obs::BUCKET_BOUNDS.iter().map(u64::to_string)),
+        join(
+            snap.histograms
+                .iter()
+                .filter(|(_, h)| h.count > 0)
+                .map(|(n, h)| histogram(n, h))
+        ),
+    )
 }
 
 /// `gf.<op>.bytes.<backend>` → `gf.<op>.bytes`; anything else unchanged.
@@ -251,13 +198,13 @@ fn probe_kernel(threads: usize) -> String {
             rows.push(format!(
                 "{{\"backend\":\"{}\",\"mb_s\":{}}}",
                 backend.name(),
-                fmt_mb_s(mb_s)
+                json_measurement(mb_s)
             ));
         }
         rows.push(format!(
             "{{\"backend\":\"dispatched\",\"description\":\"{}\",\"mb_s\":{}}}",
             kernel::active_backend_description(),
-            fmt_mb_s(measure_symbol_throughput_mb_s())
+            json_measurement(measure_symbol_throughput_mb_s())
         ));
         rows
     });
@@ -266,29 +213,13 @@ fn probe_kernel(threads: usize) -> String {
     // order changes.
     let _ = run_probe_and_reset(threads);
     meta.aggregate_obs_timing();
-    envelope(
-        &meta,
-        &ProbeOutput {
-            probe: "kernel",
-            config_json: "{\"slice_len\":65536,\"budget_ms\":20}".to_string(),
-            metrics_json: None,
-            trace_digest: None,
-            results_json: format!("[{}]", rows.join(",")),
-            rng_end_state: None,
-            wall_ms,
-        },
-    )
-}
-
-/// Non-finite throughput measurements become `null`, mirroring
-/// `RunMetadata::to_json` (the differ treats a lost measurement against
-/// a numeric baseline as out-of-band).
-fn fmt_mb_s(mb_s: f64) -> String {
-    if mb_s.is_finite() {
-        format!("{mb_s:.1}")
-    } else {
-        "null".to_string()
-    }
+    meta.envelope(&Envelope {
+        probe: Some("kernel"),
+        config: Some("{\"slice_len\":65536,\"budget_ms\":20}"),
+        results: &format!("[{}]", rows.join(",")),
+        wall_ms: Some(wall_ms),
+        ..Envelope::default()
+    })
 }
 
 /// The lossy-collection sweep: the trace-determinism CI workload
@@ -309,27 +240,20 @@ fn probe_lossy(threads: usize) -> Result<String, String> {
     };
     let losses = [0.0, 0.3];
     let retries = [0usize, 2];
-    let mut meta = run_probe_and_reset(threads);
+    let meta = run_probe_and_reset(threads);
     let (sweep, wall_ms) = measure_wall_ms(|| {
         persistence_under_lossy_collection_with_threads::<Gf256>(&cfg, &losses, &retries, threads)
     });
     let sweep = sweep.map_err(|e| format!("lossy probe: {e}"))?;
-    let (metrics_json, trace_digest) = recorder_blocks();
-    meta.aggregate_obs_timing();
-    Ok(envelope(
-        &meta,
-        &ProbeOutput {
-            probe: "lossy",
-            config_json: "{\"scheme\":\"plc\",\"levels\":[2,3,5],\"nodes\":80,\
-                          \"locations\":40,\"node_failure\":0.3,\"backoff_hops\":1,\
-                          \"runs\":40,\"seed\":7,\"losses\":[0.0,0.3],\"retry_budgets\":[0,2]}"
-                .to_string(),
-            metrics_json,
-            trace_digest,
-            results_json: sweep.results_json(),
-            rng_end_state: None,
-            wall_ms,
-        },
+    Ok(probe_envelope(
+        meta,
+        "lossy",
+        "{\"scheme\":\"plc\",\"levels\":[2,3,5],\"nodes\":80,\
+         \"locations\":40,\"node_failure\":0.3,\"backoff_hops\":1,\
+         \"runs\":40,\"seed\":7,\"losses\":[0.0,0.3],\"retry_budgets\":[0,2]}",
+        &sweep.results_json(),
+        None,
+        wall_ms,
     ))
 }
 
@@ -352,28 +276,21 @@ fn probe_timeline(threads: usize) -> Result<String, String> {
         runs: 20,
         seed: 42,
     };
-    let mut meta = run_probe_and_reset(threads);
+    let meta = run_probe_and_reset(threads);
     let (summaries, wall_ms) =
         measure_wall_ms(|| simulate_persistence_timeline_with_threads::<Gf256>(&cfg, threads));
     let summaries = summaries.map_err(|e| format!("timeline probe: {e}"))?;
-    let (metrics_json, trace_digest) = recorder_blocks();
-    meta.aggregate_obs_timing();
-    Ok(envelope(
-        &meta,
-        &ProbeOutput {
-            probe: "timeline",
-            config_json: "{\"scheme\":\"plc\",\"levels\":[2,3,5],\"nodes\":100000,\
-                          \"locations\":80,\"churn_per_epoch\":0.15,\"epochs\":8,\
-                          \"repair_donors\":3,\"loss\":0.1,\"retry_budget\":2,\
-                          \"fanout\":\"log:2\",\"coeff_rep\":\"sparse\",\
-                          \"runs\":20,\"seed\":42}"
-                .to_string(),
-            metrics_json,
-            trace_digest,
-            results_json: timeline_results_json(&summaries),
-            rng_end_state: None,
-            wall_ms,
-        },
+    Ok(probe_envelope(
+        meta,
+        "timeline",
+        "{\"scheme\":\"plc\",\"levels\":[2,3,5],\"nodes\":100000,\
+         \"locations\":80,\"churn_per_epoch\":0.15,\"epochs\":8,\
+         \"repair_donors\":3,\"loss\":0.1,\"retry_budget\":2,\
+         \"fanout\":\"log:2\",\"coeff_rep\":\"sparse\",\
+         \"runs\":20,\"seed\":42}",
+        &timeline_results_json(&summaries),
+        None,
+        wall_ms,
     ))
 }
 
@@ -404,26 +321,19 @@ fn probe_adversary(threads: usize) -> Result<String, String> {
         runs: 10,
         seed: 42,
     };
-    let mut meta = run_probe_and_reset(threads);
+    let meta = run_probe_and_reset(threads);
     let (epochs, wall_ms) =
         measure_wall_ms(|| simulate_adversary_sweep_with_threads::<Gf256>(&cfg, threads));
-    let (metrics_json, trace_digest) = recorder_blocks();
-    meta.aggregate_obs_timing();
-    Ok(envelope(
-        &meta,
-        &ProbeOutput {
-            probe: "adversary",
-            config_json: "{\"scheme\":\"plc\",\"levels\":[2,3,5],\"nodes\":10000,\
-                          \"locations\":200,\"adversary\":\"targeted\",\"kills\":192,\
-                          \"focus\":1.0,\"epochs\":2,\"churn_per_epoch\":0.0,\
-                          \"runs\":10,\"seed\":42}"
-                .to_string(),
-            metrics_json,
-            trace_digest,
-            results_json: adversary_results_json(&epochs),
-            rng_end_state: None,
-            wall_ms,
-        },
+    Ok(probe_envelope(
+        meta,
+        "adversary",
+        "{\"scheme\":\"plc\",\"levels\":[2,3,5],\"nodes\":10000,\
+         \"locations\":200,\"adversary\":\"targeted\",\"kills\":192,\
+         \"focus\":1.0,\"epochs\":2,\"churn_per_epoch\":0.0,\
+         \"runs\":10,\"seed\":42}",
+        &adversary_results_json(&epochs),
+        None,
+        wall_ms,
     ))
 }
 
@@ -436,7 +346,7 @@ fn probe_sparse(threads: usize) -> Result<String, String> {
     const ROWS: usize = 50;
     const FACTOR: f64 = 2.0;
     const SEED: u64 = 0xC0DE;
-    let mut meta = run_probe_and_reset(threads);
+    let meta = run_probe_and_reset(threads);
     let work = || -> Result<(String, String), String> {
         let mut rng = StdRng::seed_from_u64(SEED);
         let mut rows = Vec::new();
@@ -471,22 +381,17 @@ fn probe_sparse(threads: usize) -> Result<String, String> {
     };
     let (out, wall_ms) = measure_wall_ms(work);
     let (results_json, rng_end_state) = out?;
-    let (metrics_json, trace_digest) = recorder_blocks();
-    meta.aggregate_obs_timing();
-    Ok(envelope(
-        &meta,
-        &ProbeOutput {
-            probe: "sparse",
-            config_json: format!(
-                "{{\"sizes\":[1000,10000,100000],\"rows_per_cell\":{ROWS},\
-                 \"factor\":{FACTOR},\"scheme\":\"rlc\",\"seed\":{SEED}}}"
-            ),
-            metrics_json,
-            trace_digest,
-            results_json,
-            rng_end_state: Some(rng_end_state),
-            wall_ms,
-        },
+    let config = format!(
+        "{{\"sizes\":[1000,10000,100000],\"rows_per_cell\":{ROWS},\
+         \"factor\":{FACTOR},\"scheme\":\"rlc\",\"seed\":{SEED}}}"
+    );
+    Ok(probe_envelope(
+        meta,
+        "sparse",
+        &config,
+        &results_json,
+        Some(&rng_end_state),
+        wall_ms,
     ))
 }
 

@@ -18,14 +18,13 @@ use prlc_core::{
 use prlc_gf::GfElem;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::runner::{default_threads, run_parallel_with_threads};
 use crate::stats::{summarize_trajectories, Summary};
 
 /// Which persistence scheme an experiment exercises: one of the paper's
 /// codes, or a baseline from its related-work comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Persistence {
     /// RLC / SLC / PLC.
     Coding(Scheme),
@@ -65,7 +64,7 @@ pub struct CurveConfig {
 
 /// A simulated decoding curve: `summaries[m]` is the decoded-level
 /// statistic after `m` processed blocks (`summaries[0]` is always 0).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DecodingCurve {
     /// Per-block-count summaries, indexed by number of processed blocks.
     pub summaries: Vec<Summary>,

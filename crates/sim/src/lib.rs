@@ -67,7 +67,7 @@ pub use lossy::{
     persistence_under_lossy_collection, persistence_under_lossy_collection_with_threads, LossyCell,
     LossyCollectionConfig, LossySweep,
 };
-pub use metadata::{measure_wall_ms, run_probe_and_reset, RunMetadata};
+pub use metadata::{measure_wall_ms, run_probe_and_reset, Envelope, RunMetadata};
 pub use runner::{default_threads, run_parallel, run_parallel_with_threads, run_seed, splitmix64};
 pub use stats::{summarize, summarize_trajectories, Summary};
 pub use table::{fmt_f, Table};

@@ -4,8 +4,6 @@
 //! capture the performance trajectory of the codebase, not just the
 //! statistical outputs.
 
-use std::io::Write;
-use std::path::Path;
 use std::time::{Duration, Instant};
 
 use prlc_gf::{kernel, Gf256, GfElem};
@@ -63,91 +61,87 @@ impl RunMetadata {
     /// not JSON and silently corrupts every `BENCH_*.json` envelope
     /// built on top of this object.
     pub fn to_json(&self) -> String {
-        let throughput = if self.symbol_throughput_mb_s.is_finite() {
-            format!("{:.1}", self.symbol_throughput_mb_s)
-        } else {
-            "null".to_string()
-        };
         let wall = match self.run_wall_ms_total {
             Some(ms) if ms.is_finite() => format!(",\"run_wall_ms_total\":{ms:.1}"),
             _ => String::new(),
         };
+        let mut backend = String::new();
+        prlc_obs::json_escape(&self.kernel_backend, &mut backend);
         format!(
             "{{\"kernel_backend\":\"{}\",\"threads\":{},\"symbol_throughput_mb_s\":{}{}}}",
-            escape_json(&self.kernel_backend),
+            backend,
             self.threads,
-            throughput,
+            json_measurement(self.symbol_throughput_mb_s),
             wall
         )
     }
 
-    /// Writes `{"run_metadata": <self>, "results": <results_json>}` to
-    /// `path` — the envelope used by the `BENCH_*.json` artifacts.
-    /// `results_json` must already be valid JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_bench_json(&self, path: &Path, results_json: &str) -> std::io::Result<()> {
-        self.write_bench_json_with_metrics(path, results_json, None)
-    }
-
-    /// [`write_bench_json`](Self::write_bench_json) with an optional
-    /// metrics block: when `metrics_json` is `Some`, the envelope becomes
-    /// `{"run_metadata": ..., "metrics": ..., "results": ...}`.
-    /// `metrics_json` must already be valid JSON (e.g. a
-    /// [`prlc_obs::Snapshot`] rendering).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_bench_json_with_metrics(
-        &self,
-        path: &Path,
-        results_json: &str,
-        metrics_json: Option<&str>,
-    ) -> std::io::Result<()> {
-        self.write_bench_json_with_blocks(path, results_json, metrics_json, None)
-    }
-
-    /// [`write_bench_json_with_metrics`](Self::write_bench_json_with_metrics)
-    /// with an additional optional trace block; the full envelope is
-    /// `{"run_metadata": ..., "metrics": ..., "trace": ..., "results": ...}`
-    /// with absent blocks omitted. Both optional arguments must already be
-    /// valid JSON.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    pub fn write_bench_json_with_blocks(
-        &self,
-        path: &Path,
-        results_json: &str,
-        metrics_json: Option<&str>,
-        trace_json: Option<&str>,
-    ) -> std::io::Result<()> {
-        let mut f = std::fs::File::create(path)?;
-        let metrics = match metrics_json {
-            Some(m) => format!(",\"metrics\":{m}"),
-            None => String::new(),
-        };
-        let trace = match trace_json {
-            Some(t) => format!(",\"trace\":{t}"),
-            None => String::new(),
+    /// Renders the versioned `BENCH_*.json` envelope around this
+    /// metadata: one JSON object with its keys in the order below, absent
+    /// blocks omitted, and a trailing newline. The one writer behind both
+    /// `prlc bench` probes and `prlc sim --bench-out`.
+    pub fn envelope(&self, blocks: &Envelope<'_>) -> String {
+        let quoted = |v: &str| {
+            let mut q = String::from("\"");
+            prlc_obs::json_escape(v, &mut q);
+            q.push('"');
+            q
         };
         // The leading schema stamp is what lets `prlc bench --check`
         // refuse to diff envelopes written by a different writer
         // generation (see prlc_obs::baseline).
-        writeln!(
-            f,
-            "{{\"{}\":{},\"run_metadata\":{}{}{},\"results\":{}}}",
-            SCHEMA_VERSION_KEY,
-            BENCH_SCHEMA_VERSION,
-            self.to_json(),
-            metrics,
-            trace,
-            results_json
-        )
+        let members = [
+            (SCHEMA_VERSION_KEY, Some(BENCH_SCHEMA_VERSION.to_string())),
+            ("probe", blocks.probe.map(quoted)),
+            ("config", blocks.config.map(str::to_string)),
+            ("run_metadata", Some(self.to_json())),
+            ("metrics", blocks.metrics.map(str::to_string)),
+            ("trace", blocks.trace.map(str::to_string)),
+            ("trace_digest", blocks.trace_digest.map(quoted)),
+            ("results", Some(blocks.results.to_string())),
+            ("rng_end_state", blocks.rng_end_state.map(quoted)),
+            ("wall_ms", blocks.wall_ms.map(json_measurement)),
+        ];
+        let body: Vec<String> = members
+            .iter()
+            .filter_map(|(key, value)| value.as_ref().map(|v| format!("\"{key}\":{v}")))
+            .collect();
+        format!("{{{}}}\n", body.join(","))
+    }
+}
+
+/// The blocks of one bench envelope besides its run metadata; see
+/// [`RunMetadata::envelope`] for the layout. `None` blocks are omitted.
+/// The JSON-valued blocks (`config`, `metrics`, `trace`, `results`) must
+/// already be valid JSON; the others are written as JSON strings.
+#[derive(Debug, Default)]
+pub struct Envelope<'a> {
+    /// Probe name, for `prlc bench` envelopes.
+    pub probe: Option<&'a str>,
+    /// Probe configuration as a JSON object.
+    pub config: Option<&'a str>,
+    /// The metrics block.
+    pub metrics: Option<&'a str>,
+    /// The full trace dump (`prlc sim --bench-out`).
+    pub trace: Option<&'a str>,
+    /// FNV-1a digest of the trace dump (`prlc bench`).
+    pub trace_digest: Option<&'a str>,
+    /// Result rows as a JSON array.
+    pub results: &'a str,
+    /// Pinned RNG end state, for probes that own their generator.
+    pub rng_end_state: Option<&'a str>,
+    /// Elapsed wall-clock of the workload in milliseconds; a non-finite
+    /// value is written as `null`.
+    pub wall_ms: Option<f64>,
+}
+
+/// An environmental measurement as JSON: one decimal, or `null` when
+/// non-finite (a zero-duration or failed measurement).
+pub(crate) fn json_measurement(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:.1}")
+    } else {
+        "null".to_string()
     }
 }
 
@@ -176,17 +170,6 @@ pub fn measure_wall_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64() * 1e3)
-}
-
-fn escape_json(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
 }
 
 /// Measures the dispatched GF(2⁸) `axpy` throughput in MB/s on 64 KiB
@@ -292,43 +275,62 @@ mod tests {
 
     #[test]
     fn json_escapes_quotes() {
-        assert_eq!(escape_json("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(escape_json("\n"), "\\u000a");
+        let meta = RunMetadata {
+            kernel_backend: "a\"b\\c\n".into(),
+            threads: 1,
+            symbol_throughput_mb_s: 1.0,
+            run_wall_ms_total: None,
+        };
+        assert!(meta
+            .to_json()
+            .starts_with("{\"kernel_backend\":\"a\\\"b\\\\c\\u000a\","));
     }
 
     #[test]
     fn bench_json_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("prlc-meta-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_test.json");
         let meta = RunMetadata {
             kernel_backend: "scalar".into(),
             threads: 1,
             symbol_throughput_mb_s: 10.0,
             run_wall_ms_total: None,
         };
-        meta.write_bench_json(&path, "[1,2,3]").unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+        let blocks = Envelope {
+            results: "[1,2,3]",
+            ..Envelope::default()
+        };
+        let text = meta.envelope(&blocks);
         assert!(text.starts_with("{\"bench_schema_version\":1,"));
         assert!(text.contains("\"run_metadata\":{\"kernel_backend\":\"scalar\""));
-        assert!(text.contains("\"results\":[1,2,3]"));
+        assert!(text.ends_with(",\"results\":[1,2,3]}\n"));
 
-        meta.write_bench_json_with_metrics(&path, "[1,2,3]", Some("{\"counters\":{}}"))
-            .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+        let text = meta.envelope(&Envelope {
+            metrics: Some("{\"counters\":{}}"),
+            ..blocks
+        });
         assert!(text.contains(",\"metrics\":{\"counters\":{}},\"results\":[1,2,3]"));
 
-        meta.write_bench_json_with_blocks(
-            &path,
-            "[1,2,3]",
-            Some("{\"counters\":{}}"),
-            Some("{\"tracks\":[]}"),
-        )
-        .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
+        let text = meta.envelope(&Envelope {
+            metrics: Some("{\"counters\":{}}"),
+            trace: Some("{\"tracks\":[]}"),
+            ..blocks
+        });
         assert!(text.contains(
             ",\"metrics\":{\"counters\":{}},\"trace\":{\"tracks\":[]},\"results\":[1,2,3]"
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
+
+        // The probe layout: every optional block, in key order.
+        let text = meta.envelope(&Envelope {
+            probe: Some("p"),
+            config: Some("{}"),
+            trace_digest: Some("fnv1a:00"),
+            rng_end_state: Some("0x1"),
+            wall_ms: Some(f64::NAN),
+            ..blocks
+        });
+        assert!(text.starts_with("{\"bench_schema_version\":1,\"probe\":\"p\",\"config\":{},"));
+        assert!(text.ends_with(
+            ",\"trace_digest\":\"fnv1a:00\",\"results\":[1,2,3],\
+             \"rng_end_state\":\"0x1\",\"wall_ms\":null}\n"
+        ));
     }
 }

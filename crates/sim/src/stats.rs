@@ -4,10 +4,8 @@
 //! 100 independent experiments" for every data point; this module
 //! provides exactly that aggregation.
 
-use serde::{Deserialize, Serialize};
-
 /// Mean and 95% confidence half-width of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Sample mean.
     pub mean: f64,
