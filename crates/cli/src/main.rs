@@ -62,13 +62,13 @@ the survivors while each per-node query is dropped with probability
 comma-separated lists and form a grid. --nodes sets the overlay size
 and --locations the storage locations (defaults scale with the code).
 
-With --epochs, `sim` runs a long-horizon persistence timeline on the
-event-driven protocol runtime (coding schemes only): one deployment,
+With --epochs, `sim` runs a long-horizon persistence timeline through
+the protocol sessions (coding schemes only): one deployment,
 then E churn epochs each killing an alive node with probability
 --churn, optionally followed by an in-network repair pass combining
 --repair donor blocks per lost slot. Here --loss and --retries take
 single values and fault-inject the protocol sessions themselves. The
-lazy per-node state of the runtime makes N=10^5 overlays (--nodes
+sessions' lazy per-node state makes N=10^5 overlays (--nodes
 100000) run in seconds. --fanout log:F routes each source block to
 ceil(F·ln N) of its eligible locations instead of all of them, and
 --coeff sparse stores cached coefficient rows as sorted (index, value)
@@ -823,8 +823,8 @@ fn sim_lossy(
     Ok(sweep.results_json())
 }
 
-/// The timeline mode: a long-horizon persistence timeline on the
-/// event-driven protocol runtime — churn epoch after churn epoch, with
+/// The timeline mode: a long-horizon persistence timeline through the
+/// protocol sessions — churn epoch after churn epoch, with
 /// optional in-network repair and fault-injected protocol sessions.
 fn sim_timeline(cfg: &TimelineConfig, threads: usize) -> Result<String, String> {
     println!("persistence timeline: {}", overlay_line(cfg));

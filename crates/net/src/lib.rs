@@ -12,6 +12,8 @@
 //!   power-of-two-choices load balancing and incremental in-network
 //!   encoding `c ← c + β·x`.
 //! * [`mod@collect`] — progressive data collection from surviving caches.
+//! * [`mod@refresh`] — in-network repair: lost coded blocks re-created
+//!   from surviving coded blocks.
 //! * Failure models: independent node failure ([`Network::fail_uniform`]),
 //!   correlated regional failure ([`PlaneNetwork::fail_disk`],
 //!   [`RingNetwork::fail_arc`]) and session churn ([`Churn`]).
@@ -24,12 +26,11 @@
 //!   layer: correlated regional outages, collector eclipse, an adaptive
 //!   targeted cache killer, and slow compromise across epochs
 //!   ([`Adversary`] / [`AdversaryPlan`]).
-//! * [`event`] — the deterministic discrete-event runtime the faulty
-//!   entry points run on: a `(tick, seq)`-ordered scheduler executing
-//!   poll-based session state machines with lazily instantiated
-//!   per-node state, scaling simulations to N=10⁵ and beyond. The
-//!   original monolithic loops survive in [`sync`] as the byte-exact
-//!   reference the runtime is diffed against.
+//!
+//! Each protocol session — pre-distribution, collection, repair — is one
+//! sequential pass over its messages, timed on the fault session's
+//! message-step clock, with per-node state instantiated only for the
+//! nodes the session touches.
 //!
 //! # Example: persist and recover through 40% node failure
 //!
@@ -78,7 +79,6 @@
 
 pub mod adversary;
 pub mod collect;
-pub mod event;
 pub mod fault;
 pub mod network;
 pub mod plane;
@@ -86,7 +86,6 @@ pub mod protocol;
 pub mod refresh;
 pub mod ring;
 pub mod rounds;
-pub mod sync;
 
 pub use adversary::{
     observe_deployment, Adversary, AdversaryPlan, AdversaryStrategy, SlotObservation,

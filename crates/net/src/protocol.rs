@@ -24,9 +24,9 @@ use prlc_gf::GfElem;
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::event::NodeScratch;
 use crate::fault::{DeliveryOutcome, FaultPlan, FaultSession};
 use crate::network::{Network, NodeId};
 
@@ -114,10 +114,6 @@ pub enum ProtocolError {
         /// Aggregate capacity of the alive nodes (`W·d`).
         available: usize,
     },
-    /// The event scheduler drained without the session completing — an
-    /// internal-invariant breach (a well-formed session machine yields
-    /// or finishes on every poll), surfaced instead of panicking.
-    Stalled,
 }
 
 impl fmt::Display for ProtocolError {
@@ -134,9 +130,6 @@ impl fmt::Display for ProtocolError {
                 f,
                 "network cache capacity {available} cannot hold {needed} coded blocks"
             ),
-            ProtocolError::Stalled => {
-                write!(f, "event scheduler drained before the session completed")
-            }
         }
     }
 }
@@ -223,20 +216,6 @@ impl<F: GfElem> Deployment<F> {
         Deployment {
             slots,
             metrics: DistributionMetrics::default(),
-            profile,
-        }
-    }
-
-    /// Assembles a deployment from a completed session's parts (the
-    /// event machine's finalize step).
-    pub(crate) fn assemble(
-        slots: Vec<StorageSlot<F>>,
-        metrics: DistributionMetrics,
-        profile: PriorityProfile,
-    ) -> Self {
-        Deployment {
-            slots,
-            metrics,
             profile,
         }
     }
@@ -328,204 +307,6 @@ pub fn predistribute_with_faults<N: Network, F: GfElem, R: Rng + ?Sized>(
     faults: &mut FaultSession,
     rng: &mut R,
 ) -> Result<Deployment<F>, ProtocolError> {
-    let mut machine = crate::event::PredistributeMachine::new(net, cfg, sources, faults, rng)?;
-    let start = machine.start_tick();
-    match crate::event::run_to_quiescence(
-        &mut machine,
-        start,
-        crate::event::ProtocolEvent::NextSource,
-    ) {
-        Some(result) => result,
-        None => Err(ProtocolError::Stalled),
-    }
-}
-
-/// Everything both dissemination paths derive *locally* before any
-/// message is sent: validation, the shared-seed location derivation
-/// (phase 1) and the per-level slot split (phase 2).
-pub(crate) struct SessionSetup<P, F: GfElem> {
-    /// Derived storage points, one per location.
-    pub(crate) points: Vec<P>,
-    /// Storage slots (owner, level, empty block), one per location.
-    pub(crate) slots: Vec<StorageSlot<F>>,
-    /// Part boundaries in slot index space (`counts` prefix sums).
-    pub(crate) part_start: Vec<usize>,
-    /// Lazily instantiated per-node load counters from phase 1.
-    pub(crate) scratch: NodeScratch,
-    /// The message-step tick the session starts at.
-    pub(crate) span_start: u64,
-}
-
-/// Validates `cfg` and runs phases 1–2 of the protocol. Shared by the
-/// synchronous reference path and the event machine so the two can
-/// never drift on the local computation.
-pub(crate) fn session_setup<N: Network, F: GfElem>(
-    net: &N,
-    cfg: &ProtocolConfig,
-    source_count: usize,
-    faults: &FaultSession,
-) -> Result<SessionSetup<N::Point, F>, ProtocolError> {
-    let n_blocks = cfg.profile.total_blocks();
-    if source_count != n_blocks {
-        return Err(ProtocolError::SourceCountMismatch {
-            expected: n_blocks,
-            got: source_count,
-        });
-    }
-    if cfg.profile.num_levels() != cfg.distribution.num_levels() {
-        return Err(ProtocolError::LevelMismatch);
-    }
-    if net.alive_count() == 0 {
-        return Err(ProtocolError::NetworkEmpty);
-    }
-    let span_start = faults.steps() as u64;
-
-    // Phase 1: derive the M storage locations from the shared seed.
-    // Every node can reproduce this sequence, which is how the protocol
-    // "memorizes the same set of caching nodes without actually storing
-    // the addresses of all of them". The seed is domain-separated so the
-    // location stream can never alias another StdRng stream a caller
-    // happens to have seeded with the same integer (e.g. the RNG that
-    // drew the ring's node IDs).
-    let mut seed_rng = StdRng::seed_from_u64(mix_seed(cfg.shared_seed));
-    if let Some(d) = cfg.node_capacity {
-        if net.alive_count().saturating_mul(d) < cfg.locations {
-            return Err(ProtocolError::InsufficientCapacity {
-                needed: cfg.locations,
-                available: net.alive_count().saturating_mul(d),
-            });
-        }
-    }
-    let capacity = cfg.node_capacity.unwrap_or(usize::MAX);
-    // Per-node load is instantiated lazily on first touch: a session
-    // placing M locations touches O(M) nodes, never the full table —
-    // the dense `vec![0; node_count]` this replaces was the O(N) cost
-    // that capped large-N runs. Reads of untouched nodes return 0,
-    // exactly what the dense table held.
-    let mut load = NodeScratch::new();
-    let mut points: Vec<N::Point> = Vec::with_capacity(cfg.locations);
-    let mut owners: Vec<NodeId> = Vec::with_capacity(cfg.locations);
-    for _ in 0..cfg.locations {
-        // Derive candidate points until one lands on a node with spare
-        // capacity; with total capacity >= M this terminates (each draw
-        // succeeds with probability >= 1 - (M-1)/(W·d) over the owner
-        // distribution, and every node deriving the same seed walks the
-        // identical rejection sequence).
-        let (point, owner) = loop {
-            let p1 = net.random_point(&mut seed_rng);
-            let o1 = net.owner_of(p1).ok_or(ProtocolError::NetworkEmpty)?;
-            if cfg.two_choices {
-                let p2 = net.random_point(&mut seed_rng);
-                let o2 = net.owner_of(p2).ok_or(ProtocolError::NetworkEmpty)?;
-                let c1 = load.load(o1) < capacity;
-                let c2 = load.load(o2) < capacity;
-                match (c1, c2) {
-                    (true, true) => {
-                        if load.load(o2) < load.load(o1) {
-                            break (p2, o2);
-                        }
-                        break (p1, o1);
-                    }
-                    (true, false) => break (p1, o1),
-                    (false, true) => break (p2, o2),
-                    (false, false) => continue,
-                }
-            }
-            if load.load(o1) < capacity {
-                break (p1, o1);
-            }
-        };
-        load.bump(owner);
-        points.push(point);
-        owners.push(owner);
-    }
-
-    // Phase 2: split the locations into per-level parts (Fig. 3).
-    let counts = cfg.distribution.allocate(cfg.locations);
-    let mut slot_level = Vec::with_capacity(cfg.locations);
-    for (level, &c) in counts.iter().enumerate() {
-        slot_level.extend(std::iter::repeat_n(level, c));
-    }
-    let slots: Vec<StorageSlot<F>> = owners
-        .iter()
-        .zip(&slot_level)
-        .map(|(&node, &level)| StorageSlot {
-            node,
-            level,
-            block: CodedBlock::empty_with(level, n_blocks, cfg.coeff_rep),
-        })
-        .collect();
-
-    // Part boundaries in slot index space.
-    let mut part_start = vec![0usize; counts.len() + 1];
-    for (i, &c) in counts.iter().enumerate() {
-        part_start[i + 1] = part_start[i] + c;
-    }
-
-    Ok(SessionSetup {
-        points,
-        slots,
-        part_start,
-        scratch: load,
-        span_start,
-    })
-}
-
-/// Per-session metric and trace emission shared by the synchronous
-/// reference path and the event machine — one call site, so the two
-/// paths' observability output is byte-identical by construction.
-pub(crate) fn emit_predistribute_obs(
-    metrics: &DistributionMetrics,
-    nodes_touched: usize,
-    span_start: u64,
-    span_end: u64,
-) {
-    if prlc_obs::enabled() {
-        // Per-session fault accounting, mirroring the metrics struct.
-        prlc_obs::counter!("net.predistribute.sessions").incr();
-        prlc_obs::counter!("net.predistribute.messages").add(metrics.messages as u64);
-        prlc_obs::counter!("net.predistribute.failed_deliveries")
-            .add(metrics.failed_deliveries as u64);
-        prlc_obs::counter!("net.predistribute.lost_messages").add(metrics.lost_messages as u64);
-        prlc_obs::counter!("net.predistribute.retries").add(metrics.retries as u64);
-        prlc_obs::counter!("net.predistribute.gave_up").add(metrics.gave_up as u64);
-        prlc_obs::counter!("net.predistribute.unreachable_nodes")
-            .add(metrics.unreachable_nodes as u64);
-        prlc_obs::histogram!("net.predistribute.max_node_load")
-            .observe(metrics.max_node_load as u64);
-        // Lazily instantiated node entries this session — the memory
-        // bound the event runtime guarantees (O(active), not O(N)).
-        prlc_obs::counter!("net.event.nodes_touched").add(nodes_touched as u64);
-    }
-    if prlc_obs::trace::enabled() {
-        // Causal span on the session's message-step clock.
-        prlc_obs::trace_span!(
-            "net.predistribute.session",
-            span_start,
-            span_end,
-            messages: metrics.messages as u64,
-            failed: metrics.failed_deliveries as u64,
-        );
-    }
-}
-
-/// The synchronous reference implementation of
-/// [`predistribute_with_faults`]: the original monolithic call tree,
-/// kept verbatim as the ground truth the event-driven runtime is
-/// byte-diffed against (see `tests/event_equivalence.rs`). Exported as
-/// [`crate::sync::predistribute_with_faults`].
-///
-/// # Errors
-///
-/// Returns a [`ProtocolError`] when the network is empty or the
-/// configuration is inconsistent.
-pub fn predistribute_with_faults_sync<N: Network, F: GfElem, R: Rng + ?Sized>(
-    net: &N,
-    cfg: &ProtocolConfig,
-    sources: &[Vec<F>],
-    faults: &mut FaultSession,
-    rng: &mut R,
-) -> Result<Deployment<F>, ProtocolError> {
     let SessionSetup {
         points,
         mut slots,
@@ -600,6 +381,214 @@ pub fn predistribute_with_faults_sync<N: Network, F: GfElem, R: Rng + ?Sized>(
         metrics,
         profile: cfg.profile.clone(),
     })
+}
+
+/// Everything a session derives *locally* before any message is sent:
+/// validation, the shared-seed location derivation (phase 1) and the
+/// per-level slot split (phase 2).
+struct SessionSetup<P, F: GfElem> {
+    /// Derived storage points, one per location.
+    points: Vec<P>,
+    /// Storage slots (owner, level, empty block), one per location.
+    slots: Vec<StorageSlot<F>>,
+    /// Part boundaries in slot index space (`counts` prefix sums).
+    part_start: Vec<usize>,
+    /// Lazily instantiated per-node load counters from phase 1.
+    scratch: NodeScratch,
+    /// The message-step tick the session starts at.
+    span_start: u64,
+}
+
+/// Validates `cfg` and runs phases 1–2 of the protocol: the local
+/// computation every node performs independently, without messages.
+fn session_setup<N: Network, F: GfElem>(
+    net: &N,
+    cfg: &ProtocolConfig,
+    source_count: usize,
+    faults: &FaultSession,
+) -> Result<SessionSetup<N::Point, F>, ProtocolError> {
+    let n_blocks = cfg.profile.total_blocks();
+    if source_count != n_blocks {
+        return Err(ProtocolError::SourceCountMismatch {
+            expected: n_blocks,
+            got: source_count,
+        });
+    }
+    if cfg.profile.num_levels() != cfg.distribution.num_levels() {
+        return Err(ProtocolError::LevelMismatch);
+    }
+    if net.alive_count() == 0 {
+        return Err(ProtocolError::NetworkEmpty);
+    }
+    let span_start = faults.steps() as u64;
+
+    // Phase 1: derive the M storage locations from the shared seed.
+    // Every node can reproduce this sequence, which is how the protocol
+    // "memorizes the same set of caching nodes without actually storing
+    // the addresses of all of them". The seed is domain-separated so the
+    // location stream can never alias another StdRng stream a caller
+    // happens to have seeded with the same integer (e.g. the RNG that
+    // drew the ring's node IDs).
+    let mut seed_rng = StdRng::seed_from_u64(mix_seed(cfg.shared_seed));
+    if let Some(d) = cfg.node_capacity {
+        if net.alive_count().saturating_mul(d) < cfg.locations {
+            return Err(ProtocolError::InsufficientCapacity {
+                needed: cfg.locations,
+                available: net.alive_count().saturating_mul(d),
+            });
+        }
+    }
+    let capacity = cfg.node_capacity.unwrap_or(usize::MAX);
+    // Per-node load is instantiated lazily on first touch: a session
+    // placing M locations touches O(M) nodes, never the full table —
+    // the dense `vec![0; node_count]` this replaces was the O(N) cost
+    // that capped large-N runs. Reads of untouched nodes return 0,
+    // exactly what the dense table held.
+    let mut load = NodeScratch::default();
+    let mut points: Vec<N::Point> = Vec::with_capacity(cfg.locations);
+    let mut owners: Vec<NodeId> = Vec::with_capacity(cfg.locations);
+    for _ in 0..cfg.locations {
+        // Derive candidate points until one lands on a node with spare
+        // capacity; with total capacity >= M this terminates (each draw
+        // succeeds with probability >= 1 - (M-1)/(W·d) over the owner
+        // distribution, and every node deriving the same seed walks the
+        // identical rejection sequence).
+        let (point, owner) = loop {
+            let p1 = net.random_point(&mut seed_rng);
+            let o1 = net.owner_of(p1).ok_or(ProtocolError::NetworkEmpty)?;
+            if cfg.two_choices {
+                let p2 = net.random_point(&mut seed_rng);
+                let o2 = net.owner_of(p2).ok_or(ProtocolError::NetworkEmpty)?;
+                let c1 = load.load(o1) < capacity;
+                let c2 = load.load(o2) < capacity;
+                match (c1, c2) {
+                    (true, true) => {
+                        if load.load(o2) < load.load(o1) {
+                            break (p2, o2);
+                        }
+                        break (p1, o1);
+                    }
+                    (true, false) => break (p1, o1),
+                    (false, true) => break (p2, o2),
+                    (false, false) => continue,
+                }
+            }
+            if load.load(o1) < capacity {
+                break (p1, o1);
+            }
+        };
+        load.bump(owner);
+        points.push(point);
+        owners.push(owner);
+    }
+
+    // Phase 2: split the locations into per-level parts (Fig. 3).
+    let counts = cfg.distribution.allocate(cfg.locations);
+    let mut slot_level = Vec::with_capacity(cfg.locations);
+    for (level, &c) in counts.iter().enumerate() {
+        slot_level.extend(std::iter::repeat_n(level, c));
+    }
+    let slots: Vec<StorageSlot<F>> = owners
+        .iter()
+        .zip(&slot_level)
+        .map(|(&node, &level)| StorageSlot {
+            node,
+            level,
+            block: CodedBlock::empty_with(level, n_blocks, cfg.coeff_rep),
+        })
+        .collect();
+
+    // Part boundaries in slot index space.
+    let mut part_start = vec![0usize; counts.len() + 1];
+    for (i, &c) in counts.iter().enumerate() {
+        part_start[i + 1] = part_start[i] + c;
+    }
+
+    Ok(SessionSetup {
+        points,
+        slots,
+        part_start,
+        scratch: load,
+        span_start,
+    })
+}
+
+/// Per-session metric and trace emission of
+/// [`predistribute_with_faults`].
+fn emit_predistribute_obs(
+    metrics: &DistributionMetrics,
+    nodes_touched: usize,
+    span_start: u64,
+    span_end: u64,
+) {
+    if prlc_obs::enabled() {
+        // Per-session fault accounting, mirroring the metrics struct.
+        prlc_obs::counter!("net.predistribute.sessions").incr();
+        prlc_obs::counter!("net.predistribute.messages").add(metrics.messages as u64);
+        prlc_obs::counter!("net.predistribute.failed_deliveries")
+            .add(metrics.failed_deliveries as u64);
+        prlc_obs::counter!("net.predistribute.lost_messages").add(metrics.lost_messages as u64);
+        prlc_obs::counter!("net.predistribute.retries").add(metrics.retries as u64);
+        prlc_obs::counter!("net.predistribute.gave_up").add(metrics.gave_up as u64);
+        prlc_obs::counter!("net.predistribute.unreachable_nodes")
+            .add(metrics.unreachable_nodes as u64);
+        prlc_obs::histogram!("net.predistribute.max_node_load")
+            .observe(metrics.max_node_load as u64);
+        // Lazily instantiated node entries this session — the memory
+        // bound `NodeScratch` guarantees (O(active), not O(N)).
+        prlc_obs::counter!("net.event.nodes_touched").add(nodes_touched as u64);
+    }
+    if prlc_obs::trace::enabled() {
+        // Causal span on the session's message-step clock.
+        prlc_obs::trace_span!(
+            "net.predistribute.session",
+            span_start,
+            span_end,
+            messages: metrics.messages as u64,
+            failed: metrics.failed_deliveries as u64,
+        );
+    }
+}
+
+/// Lazily instantiated per-node load counters.
+///
+/// A dense `vec![0; node_count]` load table would cost O(N) memory and
+/// initialisation per session even when the session touches only a
+/// handful of nodes. `NodeScratch` keeps the same counters in a
+/// `BTreeMap` instantiated on first touch, so session memory is
+/// O(active nodes): reads of untouched nodes return the zero a dense
+/// table would have held (no entry is created), and only
+/// [`bump`](NodeScratch::bump) instantiates. The number of instantiated
+/// entries is reported as the `net.event.nodes_touched` counter, which
+/// the memory-bound test asserts stays O(active) at N=10⁵.
+#[derive(Debug, Default)]
+struct NodeScratch {
+    load: BTreeMap<usize, usize>,
+}
+
+impl NodeScratch {
+    /// The load of `node` — zero for untouched nodes, without
+    /// instantiating an entry (reads must stay O(active)).
+    fn load(&self, node: NodeId) -> usize {
+        self.load.get(&node.index()).copied().unwrap_or(0)
+    }
+
+    /// Increments the load of `node`, instantiating its entry on first
+    /// touch.
+    fn bump(&mut self, node: NodeId) {
+        *self.load.entry(node.index()).or_insert(0) += 1;
+    }
+
+    /// Nodes whose state has been instantiated this session.
+    fn touched(&self) -> usize {
+        self.load.len()
+    }
+
+    /// The maximum per-node load — equal to `max` over a dense table
+    /// (untouched nodes hold 0).
+    fn max_load(&self) -> usize {
+        self.load.values().copied().max().unwrap_or(0)
+    }
 }
 
 #[cfg(test)]
@@ -910,5 +899,26 @@ mod tests {
             assert_eq!(sa.node, sb.node);
             assert_eq!(sa.level, sb.level);
         }
+    }
+
+    #[test]
+    fn node_scratch_reads_do_not_instantiate() {
+        let s = NodeScratch::default();
+        assert_eq!(s.load(NodeId::new(123_456)), 0);
+        assert_eq!(s.touched(), 0);
+        assert_eq!(s.max_load(), 0);
+    }
+
+    #[test]
+    fn node_scratch_bumps_instantiate_and_count() {
+        let mut s = NodeScratch::default();
+        s.bump(NodeId::new(3));
+        s.bump(NodeId::new(3));
+        s.bump(NodeId::new(9));
+        assert_eq!(s.load(NodeId::new(3)), 2);
+        assert_eq!(s.load(NodeId::new(9)), 1);
+        assert_eq!(s.load(NodeId::new(4)), 0);
+        assert_eq!(s.touched(), 2);
+        assert_eq!(s.max_load(), 2);
     }
 }

@@ -7,7 +7,7 @@
 //! successor of `id + 2^k` — but fingers are computed *on demand* from
 //! the sorted alive-ID array (a binary search per finger) instead of
 //! being materialised per node. That keeps stabilisation O(N log N) and
-//! memory O(N) rather than O(N·64), which is what lets event-driven
+//! memory O(N) rather than O(N·64), which is what lets protocol
 //! simulations run at N=10⁵–10⁶. After failures the structure
 //! re-stabilises (the successor array is rebuilt over the surviving
 //! nodes), modelling Chord's stabilisation protocol having converged

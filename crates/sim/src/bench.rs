@@ -119,7 +119,7 @@ fn probe_envelope(
 /// names registered by *earlier* probes (reset zeroes values but not
 /// names), so including them would make an envelope depend on which
 /// probes ran before it in the same process.
-fn deterministic_metrics_json(snap: &prlc_obs::Snapshot) -> String {
+pub fn deterministic_metrics_json(snap: &prlc_obs::Snapshot) -> String {
     let mut counters: BTreeMap<String, u64> = BTreeMap::new();
     for (name, v) in &snap.counters {
         if *name == "obs.events.dropped" || *v == 0 {

@@ -1,9 +1,9 @@
-//! The memory bound of the event-driven runtime: per-node session state
-//! is lazily instantiated, so a predistribution session over a sparse
+//! The O(active) memory bound of `NodeScratch`, the lazily instantiated
+//! per-node state of a pre-distribution session: a session over a sparse
 //! deployment touches O(active nodes), not O(N).
 //!
 //! Checked through the `net.event.nodes_touched` counter (documented in
-//! docs/METRICS.md): the number of nodes whose scratch state was
+//! docs/METRICS.md): the number of nodes whose `NodeScratch` entry was
 //! actually instantiated during the session. At N=10⁵ with a code-sized
 //! location count this must stay bounded by the deployment, orders of
 //! magnitude below the overlay size.
