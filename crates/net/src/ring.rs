@@ -6,12 +6,12 @@
 //! takes the classic `O(log W)` greedy finger steps — `finger[k]` =
 //! successor of `id + 2^k` — but fingers are computed *on demand* from
 //! the sorted alive-ID array (a binary search per finger) instead of
-//! being materialised per node. That keeps stabilisation O(N log N) and
-//! memory O(N) rather than O(N·64), which is what lets protocol
-//! simulations run at N=10⁵–10⁶. After failures the structure
-//! re-stabilises (the successor array is rebuilt over the surviving
-//! nodes), modelling Chord's stabilisation protocol having converged
-//! before the next operation.
+//! being materialised per node. That keeps memory O(N) rather than
+//! O(N·64), which is what lets protocol simulations run at N=10⁵–10⁶.
+//! The array is sorted once, when the ring is built. After failures the
+//! structure re-stabilises (the crashed nodes leave the successor array,
+//! an O(N) pass with no re-sort), modelling Chord's stabilisation
+//! protocol having converged before the next operation.
 
 use rand::Rng;
 
@@ -36,28 +36,54 @@ pub struct RingNetwork {
 impl RingNetwork {
     /// Creates a ring of `nodes` peers with distinct random IDs.
     ///
+    /// Node `i` gets the `i`-th distinct ID of the RNG stream: a repeated
+    /// ID is dropped and another one drawn in its place. The N IDs are
+    /// drawn up front and sorted once, and that sorted array is the
+    /// initial successor array. Only when two of them collide (probability
+    /// about N²/2⁶⁵) does the build replay the draws through a seen-set.
+    ///
     /// # Panics
     ///
     /// Panics if `nodes == 0`.
     pub fn new<R: Rng + ?Sized>(nodes: usize, rng: &mut R) -> Self {
         assert!(nodes > 0, "a ring needs at least one node");
-        let mut ids = Vec::with_capacity(nodes);
-        let mut seen = std::collections::BTreeMap::new();
-        while ids.len() < nodes {
-            let id: u64 = rng.gen();
-            if let std::collections::btree_map::Entry::Vacant(e) = seen.entry(id) {
-                e.insert(ids.len());
-                ids.push(id);
-            }
+        let mut ids: Vec<u64> = (0..nodes).map(|_| rng.gen()).collect();
+        let mut sorted = Self::sorted_by_id(&ids);
+        if sorted.windows(2).any(|w| w[0].0 == w[1].0) {
+            ids = Self::redraw_repeats(ids, rng);
+            sorted = Self::sorted_by_id(&ids);
         }
-        let mut net = RingNetwork {
+        RingNetwork {
             ids,
             alive: vec![true; nodes],
             alive_count: nodes,
-            sorted: Vec::new(),
-        };
-        net.stabilize();
-        net
+            sorted,
+        }
+    }
+
+    /// `(id, dense index)` for every node, in ring-ID order.
+    fn sorted_by_id(ids: &[u64]) -> Vec<(u64, usize)> {
+        let mut sorted: Vec<(u64, usize)> =
+            ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+        sorted.sort_unstable_by_key(|&(id, _)| id);
+        sorted
+    }
+
+    /// Keeps the first occurrence of each drawn ID, in stream order, then
+    /// draws until there are `drawn.len()` distinct IDs again, skipping
+    /// repeats. The draw-one-reject-repeats loop would have consumed these
+    /// same first draws, so the IDs and the draw count match it exactly.
+    fn redraw_repeats<R: Rng + ?Sized>(drawn: Vec<u64>, rng: &mut R) -> Vec<u64> {
+        let nodes = drawn.len();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut ids: Vec<u64> = drawn.into_iter().filter(|&id| seen.insert(id)).collect();
+        while ids.len() < nodes {
+            let id: u64 = rng.gen();
+            if seen.insert(id) {
+                ids.push(id);
+            }
+        }
+        ids
     }
 
     /// The ring ID of a node.
@@ -69,19 +95,19 @@ impl RingNetwork {
         self.ids[node.index()]
     }
 
-    /// Rebuilds the successor structure over the alive nodes (Chord
-    /// stabilisation, assumed converged). Fingers are derived from it on
-    /// demand during routing, so this is the whole rebuild: one filter
-    /// and one sort, O(N log N).
-    pub fn stabilize(&mut self) {
-        self.sorted = self
-            .ids
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| self.alive[i])
-            .map(|(i, &id)| (id, i))
-            .collect();
-        self.sorted.sort_unstable_by_key(|&(id, _)| id);
+    /// Drops crashed nodes from the successor array (Chord stabilisation,
+    /// assumed converged). Fingers are derived from it on demand during
+    /// routing, so this is the whole rebuild: one O(N) pass, with no
+    /// allocation and no sort.
+    ///
+    /// Removing the dead entries is exact because `alive` only ever goes
+    /// from true to false. `sorted` therefore always holds a superset of
+    /// the alive nodes in ring-ID order, and what the pass leaves is the
+    /// sorted alive set.
+    fn stabilize(&mut self) {
+        let alive = &self.alive;
+        self.sorted.retain(|&(_, i)| alive[i]);
+        debug_assert_eq!(self.sorted.len(), self.alive_count);
     }
 
     /// Dense index of the alive successor of `point` (first alive ID at
@@ -272,11 +298,164 @@ impl Network for RingNetwork {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn ring(n: usize, seed: u64) -> RingNetwork {
         let mut rng = StdRng::seed_from_u64(seed);
         RingNetwork::new(n, &mut rng)
+    }
+
+    /// An RNG that counts its draws.
+    struct Counting<R> {
+        inner: R,
+        draws: u64,
+    }
+
+    impl<R: RngCore> RngCore for Counting<R> {
+        fn next_u64(&mut self) -> u64 {
+            self.draws += 1;
+            self.inner.next_u64()
+        }
+    }
+
+    fn counting(seed: u64) -> Counting<StdRng> {
+        Counting {
+            inner: StdRng::seed_from_u64(seed),
+            draws: 0,
+        }
+    }
+
+    /// An RNG that replays `script` and then continues with a seeded
+    /// `StdRng`: a way to feed the build repeated IDs.
+    struct Scripted {
+        script: Vec<u64>,
+        pos: usize,
+        then: StdRng,
+    }
+
+    impl RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            match self.script.get(self.pos) {
+                Some(&x) => {
+                    self.pos += 1;
+                    x
+                }
+                None => self.then.next_u64(),
+            }
+        }
+    }
+
+    fn scripted(script: Vec<u64>) -> Counting<Scripted> {
+        Counting {
+            inner: Scripted {
+                script,
+                pos: 0,
+                then: StdRng::seed_from_u64(99),
+            },
+            draws: 0,
+        }
+    }
+
+    /// The original build: one draw at a time, repeats rejected through a
+    /// `BTreeMap`, then a full stabilisation.
+    fn reference_new<R: Rng + ?Sized>(nodes: usize, rng: &mut R) -> RingNetwork {
+        let mut ids = Vec::with_capacity(nodes);
+        let mut seen = std::collections::BTreeMap::new();
+        while ids.len() < nodes {
+            let id: u64 = rng.gen();
+            if let std::collections::btree_map::Entry::Vacant(e) = seen.entry(id) {
+                e.insert(ids.len());
+                ids.push(id);
+            }
+        }
+        let mut net = RingNetwork {
+            ids,
+            alive: vec![true; nodes],
+            alive_count: nodes,
+            sorted: Vec::new(),
+        };
+        reference_stabilize(&mut net);
+        net
+    }
+
+    /// The original stabilisation: filter the alive nodes and sort them.
+    fn reference_stabilize(net: &mut RingNetwork) {
+        net.sorted = net
+            .ids
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| net.alive[i])
+            .map(|(i, &id)| (id, i))
+            .collect();
+        net.sorted.sort_unstable_by_key(|&(id, _)| id);
+    }
+
+    fn assert_same_ring(net: &RingNetwork, reference: &RingNetwork, what: &str) {
+        assert_eq!(net.ids, reference.ids, "{what}: ids");
+        assert_eq!(net.alive, reference.alive, "{what}: alive");
+        assert_eq!(
+            net.alive_count, reference.alive_count,
+            "{what}: alive_count"
+        );
+        assert_eq!(net.sorted, reference.sorted, "{what}: sorted");
+    }
+
+    #[test]
+    fn build_and_restabilisation_match_the_reference() {
+        for &n in &[1usize, 2, 17, 1000, 50_000] {
+            for seed in [1u64, 7, 42] {
+                let what = format!("n={n} seed={seed}");
+                let (mut rng, mut ref_rng) = (counting(seed), counting(seed));
+                let mut net = RingNetwork::new(n, &mut rng);
+                let mut reference = reference_new(n, &mut ref_rng);
+                assert_same_ring(&net, &reference, &format!("{what} build"));
+                assert_eq!(rng.draws, ref_rng.draws, "{what}: build draws");
+                for epoch in 0..4 {
+                    let killed = net.fail_uniform(0.15, &mut rng);
+                    let ref_killed = reference.fail_uniform(0.15, &mut ref_rng);
+                    reference_stabilize(&mut reference);
+                    assert_eq!(killed, ref_killed, "{what} epoch {epoch}: killed");
+                    assert_same_ring(&net, &reference, &format!("{what} epoch {epoch}"));
+                }
+                let start: u64 = rng.gen();
+                let ref_start: u64 = ref_rng.gen();
+                assert_eq!(start, ref_start, "{what}: arc start");
+                let killed = net.fail_arc(start, 0.2);
+                assert_eq!(killed, reference.fail_arc(start, 0.2), "{what}: arc killed");
+                reference_stabilize(&mut reference);
+                assert_same_ring(&net, &reference, &format!("{what} arc"));
+                assert_eq!(rng.draws, ref_rng.draws, "{what}: total draws");
+                assert_eq!(rng.next_u64(), ref_rng.next_u64(), "{what}: RNG end state");
+            }
+        }
+    }
+
+    #[test]
+    fn repeated_ids_keep_first_occurrence_and_redraw_in_stream_order() {
+        // 5 and 7 repeat inside the first four draws; the redraws then
+        // reject two more repeats of 7 before accepting 11.
+        let script = vec![5, 7, 5, 9, 7, 7, 11, 13];
+        let (mut rng, mut ref_rng) = (scripted(script.clone()), scripted(script));
+        let net = RingNetwork::new(4, &mut rng);
+        let reference = reference_new(4, &mut ref_rng);
+        assert_same_ring(&net, &reference, "scripted");
+        assert_eq!(net.ids, [5, 7, 9, 11]);
+        assert_eq!(net.id_of(NodeId::new(0)), 5);
+        assert_eq!(net.id_of(NodeId::new(1)), 7);
+        assert_eq!(rng.draws, 7);
+        assert_eq!(ref_rng.draws, 7);
+        assert_eq!(rng.next_u64(), 13);
+
+        // A larger ring whose first 1000 draws come from only 300 values,
+        // so most of it is redrawn from the seeded tail of the stream.
+        let script: Vec<u64> = (0..1000u64).map(|i| (i * 7919) % 300).collect();
+        let (mut rng, mut ref_rng) = (scripted(script.clone()), scripted(script));
+        let net = RingNetwork::new(1000, &mut rng);
+        let reference = reference_new(1000, &mut ref_rng);
+        assert_same_ring(&net, &reference, "scripted n=1000");
+        assert_eq!(rng.draws, ref_rng.draws);
+        assert!(rng.draws > 1000);
+        assert_eq!(rng.next_u64(), ref_rng.next_u64());
     }
 
     #[test]
