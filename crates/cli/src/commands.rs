@@ -1,10 +1,12 @@
 //! The `encode`, `decode` and `info` operations.
 
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use prlc_core::{
-    Encoder, PlcDecoder, PriorityDecoder, PriorityDistribution, PriorityProfile, Scheme, SlcDecoder,
+    CodedBlock, Encoder, PlcDecoder, PriorityDecoder, PriorityDistribution, PriorityProfile,
+    Scheme, SlcDecoder,
 };
 use prlc_gf::{Gf256, GfElem};
 use rand::rngs::StdRng;
@@ -214,7 +216,8 @@ pub struct DecodeOutcome {
     pub levels_total: usize,
     /// Shards successfully read.
     pub shards_read: usize,
-    /// Shards skipped as corrupt/invalid.
+    /// Shards skipped as corrupt/invalid, including shards with
+    /// coefficients outside their level's support.
     pub shards_skipped: usize,
 }
 
@@ -261,6 +264,7 @@ pub fn decode(dir: &Path, output: &Path, opts: &DecodeOptions) -> Result<DecodeO
         if block.coefficients.len() != n
             || block.payload.len() != manifest.block_size as usize
             || block.level >= profile.num_levels()
+            || strays_outside(&block, manifest.scheme.support(&profile, block.level))
         {
             shards_skipped += 1;
             continue;
@@ -327,6 +331,17 @@ pub fn decode(dir: &Path, output: &Path, opts: &DecodeOptions) -> Result<DecodeO
         shards_read,
         shards_skipped,
     })
+}
+
+/// Whether `block` has a nonzero coefficient outside `support`, the
+/// columns its scheme allows at its level. An SLC decoder projects a
+/// row onto its level, so such a shard would decode to wrong bytes.
+fn strays_outside(block: &CodedBlock<Gf256>, support: Range<usize>) -> bool {
+    let coeffs = &block.coefficients;
+    coeffs
+        .first_nonzero_at_or_after(0)
+        .is_some_and(|c| c < support.start)
+        || coeffs.first_nonzero_at_or_after(support.end).is_some()
 }
 
 /// A summary of a shard directory.
@@ -530,6 +545,76 @@ mod tests {
             encode(&empty, &dir.join("s"), &EncodeOptions::default()),
             Err(CliError::Usage(_))
         ));
+        fs::remove_dir_all(dir).unwrap();
+    }
+
+    #[test]
+    fn shards_straying_outside_their_level_are_skipped() {
+        let dir = temp_dir("stray");
+        let input = sample_file(&dir, 20_000); // 20 blocks
+        let shards = dir.join("shards");
+        let opts = EncodeOptions {
+            scheme: Scheme::Slc,
+            ..EncodeOptions::default()
+        };
+        encode(&input, &shards, &opts).unwrap();
+        let original = fs::read(&input).unwrap();
+        let source = |j: usize| -> Vec<Gf256> {
+            let mut block: Vec<Gf256> = original[j * 1024..]
+                .iter()
+                .take(1024)
+                .map(|&b| Gf256::new(b))
+                .collect();
+            block.resize(1024, Gf256::ZERO);
+            block
+        };
+
+        // Keep only level 0. Each of its shards gets a checksum-valid
+        // twin with one extra source block folded in from level 1; the
+        // twins sort first, so the decoder would meet them first.
+        let mut files: Vec<PathBuf> = fs::read_dir(&shards)
+            .unwrap()
+            .filter_map(|e| e.ok().map(|e| e.path()))
+            .filter(|p| p.extension().is_some_and(|e| e == "prlc"))
+            .collect();
+        files.sort();
+        let stray_col = Scheme::Slc
+            .support(
+                &PriorityProfile::new(split_levels(20, &opts.level_shares)).unwrap(),
+                1,
+            )
+            .start;
+        let mut crafted = 0;
+        for f in files {
+            let mut block = format::read_shard(fs::File::open(&f).unwrap()).unwrap();
+            if block.level != 0 {
+                fs::remove_file(&f).unwrap();
+                continue;
+            }
+            let beta = Gf256::new(0x35);
+            block.coefficients.add_assign_at(stray_col, beta);
+            Gf256::axpy(&mut block.payload, beta, &source(stray_col));
+            let twin = shards.join(format!("shard-0000-stray-{crafted}.prlc"));
+            format::write_shard(fs::File::create(twin).unwrap(), &block).unwrap();
+            crafted += 1;
+        }
+        assert!(crafted > 0);
+
+        let out = dir.join("partial.bin");
+        let outcome = decode(
+            &shards,
+            &out,
+            &DecodeOptions {
+                allow_partial: true,
+            },
+        )
+        .unwrap();
+        assert_eq!(outcome.shards_skipped, crafted, "{outcome:?}");
+        assert_eq!(outcome.shards_read, crafted, "{outcome:?}");
+        assert_eq!(outcome.levels_recovered, 1, "{outcome:?}");
+        let partial = fs::read(&out).unwrap();
+        assert!(!partial.is_empty());
+        assert_eq!(&original[..partial.len()], &partial[..]);
         fs::remove_dir_all(dir).unwrap();
     }
 

@@ -277,11 +277,11 @@ impl<F: GfElem> CoeffRow<F> {
     /// operation of Gauss–Jordan elimination, restricted to the suffix
     /// the caller knows can change.
     ///
-    /// Dense-into-dense lowers to exactly
+    /// Dense-into-dense lowers to one
     /// `kernel::axpy(&mut self[start..end], factor, &other[start..end])`
-    /// with `end = max(self.support, other.support)` — byte-for-byte the
-    /// pre-`CoeffRow` elimination kernel call, so dense runs keep their
-    /// pinned `gf.*` byte counters.
+    /// with `end = other.support`: past its support `other` is zero, so
+    /// those entries of `self` cannot change. `self.support` becomes
+    /// `max(self.support, other.support)`, still a sound upper bound.
     ///
     /// # Panics
     ///
@@ -299,10 +299,10 @@ impl<F: GfElem> CoeffRow<F> {
                     support: osupport,
                 },
             ) => {
-                let end = (*support).max(*osupport);
+                let end = *osupport;
                 let from = start.min(end);
                 kernel::axpy(&mut data[from..end], factor, &odata[from..end]);
-                *support = end;
+                *support = (*support).max(end);
             }
             (Repr::Dense { data, support }, Repr::Sparse { entries, .. }) => {
                 for &(i, v) in entries {

@@ -22,9 +22,16 @@
 //!
 //! * rows are stored as [`CoeffRow`]s: dense rows track their *support*
 //!   (exclusive upper bound of the nonzero region — for PLC a level-`k`
-//!   row has support `b_k`) and all row operations touch only
-//!   `pivot..support`, while sparse rows store only their `(index,
-//!   value)` pairs so elimination costs `O(nnz)` per colliding pivot;
+//!   row has support `b_k`) and a row operation touches only
+//!   `pivot..support` of the row it subtracts, while sparse rows store
+//!   only their `(index, value)` pairs so elimination costs `O(nnz)` per
+//!   colliding pivot;
+//! * a solved row is the unit row of its pivot and keeps a tight
+//!   support, so reducing against it costs one coefficient plus the
+//!   payload update;
+//! * an offered row whose support lies inside the decoded prefix is in
+//!   the span of those unit rows, and is reported redundant before any
+//!   elimination;
 //! * the nonzero count per row is maintained incrementally so decoded
 //!   queries are O(1);
 //! * dense bulk operations route through the dispatched
@@ -220,11 +227,13 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
     /// Inserts one coded block given as a [`CoeffRow`] in either
     /// representation — the sparse-aware form of [`insert`](Self::insert).
     ///
-    /// The elimination touches only stored nonzeros: pivot lookup walks
-    /// [`CoeffRow::first_nonzero_at_or_after`] and row updates go through
-    /// [`CoeffRow::axpy_from`], so a sparse row with `d` nonzeros costs
-    /// `O(d)` per colliding pivot instead of `O(width)`. Dense rows take
-    /// byte-for-byte the same kernel calls as before `CoeffRow` existed.
+    /// The elimination touches only entries that can change: pivot
+    /// lookup walks [`CoeffRow::first_nonzero_at_or_after`] and row
+    /// updates go through [`CoeffRow::axpy_from`], which stops at the
+    /// source row's support. A sparse row with `d` nonzeros costs `O(d)`
+    /// per colliding pivot instead of `O(width)`, and a row whose support
+    /// lies inside the decoded prefix is answered `Redundant` without
+    /// any elimination.
     ///
     /// # Panics
     ///
@@ -234,9 +243,14 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
         self.inserted += 1;
         self.last_solved.clear();
 
-        // Tighten a dense row's support before eliminating, so kernel
-        // call ranges match the historical dense implementation exactly.
+        // A tight support bounds every row operation below, and lets a
+        // row that only touches decoded columns skip elimination: those
+        // columns are held as unit rows, so such a row (including the
+        // zero row) is in their span.
         coeffs.normalize_support();
+        if coeffs.support() <= self.prefix {
+            return self.redundant();
+        }
 
         // Fill-in accounting: nonzeros the forward pass *adds* to this
         // row before it is stored. Logical, so identical across
@@ -270,20 +284,7 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
         }
 
         let Some(pc) = pivot_col else {
-            if prlc_obs::enabled() {
-                prlc_obs::counter!("linalg.rref.rows").incr();
-                prlc_obs::counter!("linalg.rref.redundant").incr();
-            }
-            if prlc_obs::trace::enabled() {
-                // Cause: the reduced row vanished, so the offered block was
-                // a linear combination of the rows already held.
-                prlc_obs::trace_instant!(
-                    "linalg.rref.redundant_row",
-                    self.inserted as u64,
-                    rank: self.rows.len() as u64,
-                );
-            }
-            return InsertOutcome::Redundant;
+            return self.redundant();
         };
 
         // Normalise the pivot to 1.
@@ -306,6 +307,9 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
             row.nonzeros = row.nonzeros - before + after;
             debug_assert!(row.nonzeros >= 1);
             if row.nonzeros == 1 && !self.solved[row.pivot] {
+                // A solved row is the unit row of its pivot; a tight
+                // support makes reducing against it cost one entry.
+                row.coeffs.normalize_support();
                 self.solved[row.pivot] = true;
                 self.solved_count += 1;
                 self.last_solved.push(row.pivot);
@@ -315,6 +319,7 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
         let nonzeros = coeffs.count_nonzeros_from(pc);
         debug_assert!(nonzeros >= 1);
         if nonzeros == 1 {
+            coeffs.normalize_support();
             self.solved[pc] = true;
             self.solved_count += 1;
             self.last_solved.push(pc);
@@ -360,6 +365,23 @@ impl<F: GfElem, P: RowPayload<F>> ProgressiveRref<F, P> {
         }
 
         InsertOutcome::Innovative { pivot: pc }
+    }
+
+    /// Records a redundant insertion: the offered block was a linear
+    /// combination of the rows already held, and is discarded.
+    fn redundant(&self) -> InsertOutcome {
+        if prlc_obs::enabled() {
+            prlc_obs::counter!("linalg.rref.rows").incr();
+            prlc_obs::counter!("linalg.rref.redundant").incr();
+        }
+        if prlc_obs::trace::enabled() {
+            prlc_obs::trace_instant!(
+                "linalg.rref.redundant_row",
+                self.inserted as u64,
+                rank: self.rows.len() as u64,
+            );
+        }
+        InsertOutcome::Redundant
     }
 
     /// Snapshot of the held coefficient rows as a matrix (rows in pivot
@@ -660,6 +682,23 @@ mod tests {
                 ds.coefficient_matrix().map(|m| m.is_rref())
             );
         }
+    }
+
+    #[test]
+    fn row_inside_decoded_prefix_changes_nothing_but_inserted() {
+        let mut d: ProgressiveRref<Gf256, Vec<Gf256>> = ProgressiveRref::new(4);
+        d.insert(rowv(&[3, 0, 0, 0]), rowv(&[1]));
+        d.insert(rowv(&[1, 2, 3, 4]), rowv(&[2]));
+        d.insert(rowv(&[5, 7, 0, 0]), rowv(&[3]));
+        assert_eq!(d.decoded_prefix(), 2);
+        assert!(!d.newly_solved().is_empty());
+
+        let mut want = d.clone();
+        want.inserted += 1;
+        want.last_solved.clear();
+        let out = d.insert(rowv(&[9, 6, 0, 0]), rowv(&[4]));
+        assert_eq!(out, InsertOutcome::Redundant);
+        assert_eq!(format!("{d:?}"), format!("{want:?}"));
     }
 
     #[test]
