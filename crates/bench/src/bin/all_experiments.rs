@@ -8,7 +8,12 @@
 
 use std::process::Command;
 
+use prlc_bench::RunOpts;
+
 fn main() {
+    // Validate the shared flags once, so a bad one exits 2 before any
+    // child runs instead of failing in each of them.
+    RunOpts::from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
     let exe = std::env::current_exe().expect("current exe path");
     let dir = exe.parent().expect("exe has a parent dir");

@@ -16,10 +16,7 @@ fn main() {
     let opts = RunOpts::from_args();
     let configs: &[(&str, usize, usize, usize, usize)] = if opts.quick {
         // name, levels, per-level, max blocks, step
-        &[
-            ("fig4a-quick", 5, 20, 200, 20),
-            ("fig4b-quick", 20, 5, 200, 20),
-        ]
+        &[("fig4a", 5, 20, 200, 20), ("fig4b", 20, 5, 200, 20)]
     } else {
         &[("fig4a", 5, 200, 1500, 50), ("fig4b", 50, 20, 1500, 50)]
     };

@@ -14,10 +14,7 @@ use prlc_sim::{fmt_f, simulate_decoding_curve, CurveConfig, Persistence, Table};
 fn main() {
     let opts = RunOpts::from_args();
     let configs: &[(&str, usize, usize, usize, usize)] = if opts.quick {
-        &[
-            ("fig5a-quick", 5, 20, 300, 25),
-            ("fig5b-quick", 20, 5, 300, 25),
-        ]
+        &[("fig5a", 5, 20, 300, 25), ("fig5b", 20, 5, 300, 25)]
     } else {
         // SLC needs more blocks than PLC to saturate (per-level coupon
         // effects), so extend the x-axis past Fig. 4's.

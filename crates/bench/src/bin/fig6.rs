@@ -14,10 +14,7 @@ use prlc_sim::{fmt_f, simulate_decoding_curve, CurveConfig, Persistence, Table};
 fn main() {
     let opts = RunOpts::from_args();
     let configs: &[(&str, usize, usize, usize, usize)] = if opts.quick {
-        &[
-            ("fig6a-quick", 5, 20, 300, 25),
-            ("fig6b-quick", 20, 5, 300, 25),
-        ]
+        &[("fig6a", 5, 20, 300, 25), ("fig6b", 20, 5, 300, 25)]
     } else {
         &[("fig6a", 10, 100, 2500, 100), ("fig6b", 50, 20, 2500, 100)]
     };

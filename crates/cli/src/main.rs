@@ -92,6 +92,10 @@ stay in the overlay where repair cannot see them. --epochs (default
 4), --churn (default 0 here), --repair, --loss/--retries, --nodes,
 --locations, --fanout and --coeff compose as in the timeline mode.
 
+Each mode rejects the flags it does not read: the curve mode rejects
+every networked flag, the lossy sweep --churn, --repair, --fanout,
+--coeff and --adv-*, and the timeline --adv-*.
+
 --metrics enables the prlc-obs recorder and dumps the full metrics
 snapshot (counters, histograms, events, timers) as one JSON object to
 FILE, or to stdout with `-`. Everything except the timers block is
@@ -426,10 +430,21 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 // `prlc sim`
 // ---------------------------------------------------------------------------
 
-/// Every flag `prlc sim` takes.
-const SIM_FLAGS: &str = "--scheme --levels --max-blocks --runs --seed --threads --loss --retries \
-     --nodes --locations --epochs --churn --repair --adversary --adv-intensity --adv-segment \
-     --adv-focus --fanout --coeff --bench-out --metrics --trace --trace-format";
+/// The flags `prlc sim` takes, by mode: each mode reads its own list and
+/// every list before it, and rejects the rest.
+const SIM_FLAGS: [(&str, &str); 4] = [
+    (
+        "curve",
+        "--scheme --levels --max-blocks --runs --seed --threads --bench-out --metrics --trace \
+         --trace-format",
+    ),
+    ("lossy", "--loss --retries --nodes --locations"),
+    ("timeline", "--epochs --churn --repair --fanout --coeff"),
+    (
+        "adversary",
+        "--adversary --adv-intensity --adv-segment --adv-focus",
+    ),
+];
 
 /// `prlc sim`'s flags, parsed once.
 struct SimArgs {
@@ -461,7 +476,22 @@ struct SimOutputs {
 
 impl SimArgs {
     fn parse(args: &[String]) -> Result<Self, String> {
-        check_flags("sim", args, SIM_FLAGS, "")?;
+        let given = |flag: &str| flag_value(args, flag).map(|v| v.is_some());
+        let adversary = flag_value(args, "--adversary")?;
+        let timeline = given("--epochs")?;
+        let lossy = given("--loss")? || given("--retries")?;
+        let modes = if adversary.is_some() {
+            4
+        } else if timeline {
+            3
+        } else if lossy {
+            2
+        } else {
+            1
+        };
+        let flags: Vec<&str> = SIM_FLAGS[..modes].iter().map(|&(_, f)| f).collect();
+        let cmd = format!("sim ({} mode)", SIM_FLAGS[modes - 1].0);
+        check_flags(&cmd, args, &flags.join(" "), "")?;
         let profile = profile(args)?;
         let base = CurveConfig {
             persistence: persistence(args)?,
@@ -473,14 +503,13 @@ impl SimArgs {
         };
         let threads = threads(args)?;
         let out = SimOutputs::parse(args)?;
-        let mode = if let Some(name) = flag_value(args, "--adversary")? {
+        let mode = if let Some(name) = adversary {
             let cfg = timeline_config(args, &base, "--adversary needs", true)?;
             let strategy = adversary_strategy(args, &name, cfg.locations)?;
             SimMode::Adversary(cfg, strategy)
-        } else if flag_value(args, "--epochs")?.is_some() {
+        } else if timeline {
             SimMode::Timeline(timeline_config(args, &base, "--epochs needs", false)?)
-        } else if flag_value(args, "--loss")?.is_some() || flag_value(args, "--retries")?.is_some()
-        {
+        } else if lossy {
             let scheme = coding(&base, "--loss/--retries need", "collection")?;
             let losses = list(args, "--loss", "0,0.2,0.5")?.unwrap_or(vec![0.0, 0.1, 0.3, 0.5]);
             for &p in &losses {

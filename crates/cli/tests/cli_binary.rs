@@ -649,6 +649,25 @@ fn unknown_flags_are_rejected_by_name() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown flag --epoch"), "{err}");
 
+    // Each `sim` mode also rejects the flags only other modes read.
+    for (mode, flag) in [
+        ("", "--nodes 7"),
+        ("--loss 0.2", "--coeff sparse"),
+        ("--epochs 2", "--adv-focus 0.5"),
+        ("--adversary targeted", "--bogus 1"),
+    ] {
+        let out = prlc()
+            .arg("sim")
+            .args(mode.split_whitespace().chain(flag.split_whitespace()))
+            .args(["--runs", "2"])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{mode:?} accepted {flag:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let name = flag.split_whitespace().next().unwrap();
+        assert!(err.contains(&format!("unknown flag {name}")), "{err}");
+    }
+
     let dir = temp_dir("unknown-flag");
     let input = dir.join("f.bin");
     fs::write(&input, [7u8; 100]).unwrap();
@@ -675,15 +694,15 @@ fn sim_envelopes_pass_the_differ_across_thread_counts() {
     let dir = temp_dir("sim-differ");
     let modes = [
         "",
-        "--loss 0.2 --retries 1",
-        "--epochs 2 --churn 0.15 --repair 3 --loss 0.2",
-        "--adversary targeted --adv-intensity 20 --epochs 2",
+        "--loss 0.2 --retries 1 --nodes 200",
+        "--epochs 2 --churn 0.15 --repair 3 --loss 0.2 --nodes 200",
+        "--adversary targeted --adv-intensity 20 --epochs 2 --nodes 200",
     ];
     for (i, mode) in modes.iter().enumerate() {
         let envelope = |threads: &str| {
             let path = |name: &str| dir.join(format!("{i}-{threads}-{name}"));
             let (metrics, trace, bench) = (path("m.json"), path("t.json"), path("b.json"));
-            let common = format!("--nodes 200 --runs 5 --seed 3 --threads {threads}");
+            let common = format!("--runs 5 --seed 3 --threads {threads}");
             let out = prlc()
                 .arg("sim")
                 .args(mode.split_whitespace().chain(common.split_whitespace()))

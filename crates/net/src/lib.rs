@@ -85,7 +85,6 @@ pub mod plane;
 pub mod protocol;
 pub mod refresh;
 pub mod ring;
-pub mod rounds;
 
 pub use adversary::{
     observe_deployment, Adversary, AdversaryPlan, AdversaryStrategy, SlotObservation,
@@ -102,7 +101,6 @@ pub use protocol::{
 };
 pub use refresh::{refresh, refresh_with_faults, RefreshConfig, RefreshReport};
 pub use ring::RingNetwork;
-pub use rounds::{RoundId, RoundStore, RoundStoreConfig};
 
 // Re-exported so protocol configuration is self-contained for callers
 // that do not otherwise depend on prlc-core's coding types.

@@ -321,7 +321,7 @@ pub struct Event {
 /// drop counter so the recorder stays bounded. Overflow is never
 /// silent: every snapshot carries the count both as the top-level
 /// `events_dropped` field and as the injected `obs.events.dropped`
-/// counter (also exported to Prometheus as `prlc_obs_events_dropped`).
+/// counter.
 pub const EVENT_CAPACITY: usize = 4096;
 
 // ---------------------------------------------------------------------------
@@ -701,72 +701,6 @@ impl Snapshot {
         s.push_str("}}");
         s
     }
-
-    /// Prometheus text exposition format. Metric names are prefixed
-    /// with `prlc_` and sanitised (`.` and other non-identifier
-    /// characters become `_`). Events are summarised per
-    /// `(domain, kind)` as a labelled counter whose label values are
-    /// escaped per the exposition grammar (`\\`, `\"`, `\n`).
-    pub fn to_prometheus(&self) -> String {
-        fn sanitize(name: &str) -> String {
-            name.chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-                .collect()
-        }
-        fn label_escape(value: &str) -> String {
-            let mut out = String::with_capacity(value.len());
-            for c in value.chars() {
-                match c {
-                    '\\' => out.push_str("\\\\"),
-                    '"' => out.push_str("\\\""),
-                    '\n' => out.push_str("\\n"),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        let mut s = String::new();
-        for (name, v) in &self.counters {
-            let n = sanitize(name);
-            s.push_str(&format!("# TYPE prlc_{n} counter\nprlc_{n} {v}\n"));
-        }
-        for (name, h) in &self.histograms {
-            let n = sanitize(name);
-            s.push_str(&format!("# TYPE prlc_{n} histogram\n"));
-            let mut cum = 0u64;
-            for (bound, c) in BUCKET_BOUNDS.iter().zip(h.counts.iter()) {
-                cum += c;
-                s.push_str(&format!("prlc_{n}_bucket{{le=\"{bound}\"}} {cum}\n"));
-            }
-            s.push_str(&format!(
-                "prlc_{n}_bucket{{le=\"+Inf\"}} {}\nprlc_{n}_sum {}\nprlc_{n}_count {}\n",
-                h.count, h.sum, h.count
-            ));
-        }
-        for (name, t) in &self.timers {
-            let n = sanitize(name);
-            s.push_str(&format!(
-                "# TYPE prlc_{n}_spans counter\nprlc_{n}_spans {}\n\
-                 # TYPE prlc_{n}_ns_total counter\nprlc_{n}_ns_total {}\n",
-                t.count, t.total_nanos
-            ));
-        }
-        let mut per_kind: BTreeMap<(&str, &str), u64> = BTreeMap::new();
-        for e in &self.events {
-            *per_kind.entry((e.domain, e.kind)).or_insert(0) += 1;
-        }
-        if !per_kind.is_empty() {
-            s.push_str("# TYPE prlc_events_total counter\n");
-        }
-        for ((domain, kind), c) in per_kind {
-            s.push_str(&format!(
-                "prlc_events_total{{domain=\"{}\",kind=\"{}\"}} {c}\n",
-                label_escape(domain),
-                label_escape(kind)
-            ));
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -902,10 +836,6 @@ mod tests {
         assert_eq!(snap.events_dropped, 10);
         // Overflow is surfaced as a counter too, not just the raw field.
         assert!(snap.counters.contains(&("obs.events.dropped", 10)));
-        assert!(r
-            .snapshot()
-            .to_prometheus()
-            .contains("prlc_obs_events_dropped 10"));
         r.reset();
         let snap = r.snapshot();
         assert!(snap.events.is_empty());
@@ -952,36 +882,6 @@ mod tests {
     }
 
     #[test]
-    fn prometheus_export_shape() {
-        let _g = guarded();
-        enable();
-        let r = Registry::new();
-        r.counter("gf.axpy.bytes.simd").add(64);
-        r.histogram("rows").observe(2);
-        r.record_event("net.churn", 4, "crash", 1);
-        r.record_event("odd\"dom\\ain", 1, "k\nind", 2);
-        let text = r.snapshot().to_prometheus();
-        assert!(text.contains("prlc_gf_axpy_bytes_simd 64"));
-        assert!(text.contains("prlc_rows_bucket{le=\"2\"} 1"));
-        assert!(text.contains("prlc_rows_bucket{le=\"+Inf\"} 1"));
-        assert!(text.contains("prlc_rows_sum 2"));
-        assert!(text.contains("prlc_rows_count 1"));
-        assert!(text.contains("# TYPE prlc_events_total counter"));
-        assert!(text.contains("prlc_events_total{domain=\"net.churn\",kind=\"crash\"} 1"));
-        // Label values escape backslash, quote and newline per the
-        // exposition grammar — one sample must stay one line.
-        assert!(text.contains("domain=\"odd\\\"dom\\\\ain\",kind=\"k\\nind\""));
-        assert!(text.contains("prlc_obs_events_dropped 0"));
-        for line in text.lines() {
-            assert!(
-                line.starts_with("# TYPE ") || line.starts_with("prlc_"),
-                "malformed exposition line: {line:?}"
-            );
-        }
-        disable();
-    }
-
-    #[test]
     fn exports_round_trip_as_well_formed_documents() {
         let _g = guarded();
         enable();
@@ -994,27 +894,6 @@ mod tests {
         let snap = r.snapshot();
         for json in [snap.to_json(), snap.to_deterministic_json()] {
             baseline::parse_json(&json).unwrap_or_else(|e| panic!("{e} in {json}"));
-        }
-        // Prometheus: every sample line must be `name{labels} value` or
-        // `name value` with a numeric value, even with hostile names.
-        for line in snap.to_prometheus().lines() {
-            if line.starts_with("# TYPE ") {
-                continue;
-            }
-            let (name_part, value) = line.rsplit_once(' ').unwrap_or_else(|| {
-                panic!("sample line without value: {line:?}");
-            });
-            assert!(
-                value.parse::<f64>().is_ok(),
-                "non-numeric sample value in {line:?}"
-            );
-            let name = name_part.split('{').next().unwrap_or("");
-            assert!(
-                !name.is_empty()
-                    && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_')
-                    && !name.starts_with(|c: char| c.is_ascii_digit()),
-                "invalid metric name in {line:?}"
-            );
         }
         disable();
     }
