@@ -16,6 +16,9 @@ use prlc_sim::{fmt_f, run_parallel, summarize, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// One field's measurement: `(mean, ci95)` of the blocks needed per source block.
+type Measure = fn(&PriorityProfile, usize, u64) -> (f64, f64);
+
 fn overhead<F: GfElem>(profile: &PriorityProfile, runs: usize, seed: u64) -> (f64, f64) {
     let n = profile.total_blocks();
     let dist = PriorityDistribution::uniform(profile.num_levels());
@@ -66,7 +69,7 @@ fn main() {
             .sum();
         (n as f64 + extra) / n as f64
     };
-    let rows: [(&str, f64, fn(&PriorityProfile, usize, u64) -> (f64, f64)); 3] = [
+    let rows: [(&str, f64, Measure); 3] = [
         ("GF(2^4)", 16.0, overhead::<Gf16>),
         ("GF(2^8)", 256.0, overhead::<Gf256>),
         ("GF(2^16)", 65536.0, overhead::<Gf64k>),

@@ -5,8 +5,8 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use prlc_core::{
-    CodedBlock, Encoder, PlcDecoder, PriorityDecoder, PriorityDistribution, PriorityProfile,
-    Scheme, SlcDecoder,
+    CodedBlock, Encoder, PriorityDecoder, PriorityDistribution, PriorityProfile, Scheme,
+    SchemeDecoder,
 };
 use prlc_gf::{Gf256, GfElem};
 use rand::rngs::StdRng;
@@ -41,7 +41,7 @@ impl Default for EncodeOptions {
             overhead: 2.0,
             scheme: Scheme::Plc,
             distribution: None,
-            seed: 0x1DE_A5,
+            seed: 0x1DEA5,
         }
     }
 }
@@ -236,14 +236,7 @@ pub fn decode(dir: &Path, output: &Path, opts: &DecodeOptions) -> Result<DecodeO
     let mut shards_read = 0usize;
     let mut shards_skipped = 0usize;
 
-    enum AnyDecoder {
-        Slc(SlcDecoder<Gf256>),
-        Plc(PlcDecoder<Gf256>),
-    }
-    let mut decoder = match manifest.scheme {
-        Scheme::Slc => AnyDecoder::Slc(SlcDecoder::with_payloads(profile.clone())),
-        _ => AnyDecoder::Plc(PlcDecoder::with_payloads(profile.clone())),
-    };
+    let mut decoder = SchemeDecoder::<Gf256>::with_payloads(manifest.scheme, profile.clone());
 
     let mut paths: Vec<PathBuf> = fs::read_dir(dir)?
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -253,7 +246,7 @@ pub fn decode(dir: &Path, output: &Path, opts: &DecodeOptions) -> Result<DecodeO
     for path in paths {
         let block = match fs::File::open(&path)
             .map_err(FormatError::Io)
-            .and_then(|f| format::read_shard(f))
+            .and_then(format::read_shard)
         {
             Ok(b) => b,
             Err(_) => {
@@ -270,33 +263,17 @@ pub fn decode(dir: &Path, output: &Path, opts: &DecodeOptions) -> Result<DecodeO
             continue;
         }
         shards_read += 1;
-        match &mut decoder {
-            AnyDecoder::Slc(d) => {
-                d.insert_block(&block);
-            }
-            AnyDecoder::Plc(d) => {
-                d.insert_block(&block);
-            }
-        }
+        decoder.insert_block(&block);
     }
 
-    let (levels_recovered, complete) = match &decoder {
-        AnyDecoder::Slc(d) => (d.decoded_levels(), d.is_complete()),
-        AnyDecoder::Plc(d) => (d.decoded_levels(), d.is_complete()),
-    };
-    let recovered = |idx: usize| -> Option<&[Gf256]> {
-        match &decoder {
-            AnyDecoder::Slc(d) => d.recovered(idx),
-            AnyDecoder::Plc(d) => d.recovered(idx),
-        }
-    };
+    let (levels_recovered, complete) = (decoder.decoded_levels(), decoder.is_complete());
 
     // Assemble the recovered byte prefix: consecutive decoded blocks
     // from the front (PLC decodes prefixes; SLC level islands beyond a
     // gap are not written, matching the strict model).
     let mut bytes: Vec<u8> = Vec::new();
     for idx in 0..n {
-        match recovered(idx) {
+        match decoder.recovered(idx) {
             Some(payload) => bytes.extend(payload.iter().map(|g| g.raw())),
             None => break,
         }
@@ -367,7 +344,7 @@ pub fn info(dir: &Path) -> Result<InfoReport, CliError> {
     let mut shards_skipped = 0usize;
     for entry in fs::read_dir(dir)? {
         let path = entry?.path();
-        if !path.extension().is_some_and(|e| e == "prlc") {
+        if path.extension().is_none_or(|e| e != "prlc") {
             continue;
         }
         match fs::File::open(&path)

@@ -96,12 +96,13 @@ Each mode rejects the flags it does not read: the curve mode rejects
 every networked flag, the lossy sweep --churn, --repair, --fanout,
 --coeff and --adv-*, and the timeline --adv-*.
 
---metrics enables the prlc-obs recorder and dumps the full metrics
-snapshot (counters, histograms, events, timers) as one JSON object to
-FILE, or to stdout with `-`. Everything except the timers block is
-deterministic for a fixed seed, independent of thread count. The same
-snapshot is embedded as a \"metrics\" block in --bench-out envelopes.
-Setting PRLC_OBS=1 enables recording without a dump.
+--metrics enables the prlc-obs recorder and dumps the metrics snapshot
+(nonzero counters, nonempty histograms, then timers) as one JSON object
+to FILE, or to stdout with `-`. Everything except the final timers
+block is deterministic for a fixed seed, independent of thread count
+and kernel backend. That deterministic part is embedded as a
+\"metrics\" block in --bench-out envelopes, in the layout of the
+`bench` probes. Setting PRLC_OBS=1 enables recording without a dump.
 
 --trace enables the deterministic causal tracer and dumps the recorded
 spans and instant events — stamped with logical clocks, one track per
@@ -463,7 +464,7 @@ enum SimMode {
     Lossy(LossyCollectionConfig, Vec<f64>, Vec<usize>),
     Timeline(TimelineConfig),
     /// The adversary sweep, on the timeline's deployment and upkeep.
-    Adversary(TimelineConfig, AdversaryStrategy),
+    Adversary(AdversarySweepConfig),
 }
 
 /// Where a `sim` run's `--metrics`, `--trace` and `--bench-out` go.
@@ -497,16 +498,24 @@ impl SimArgs {
             persistence: persistence(args)?,
             distribution: PriorityDistribution::uniform(profile.num_levels()),
             max_blocks: num(args, "--max-blocks", 3 * profile.total_blocks())?,
-            runs: num(args, "--runs", 100)?,
+            runs: count(args, "--runs")?.unwrap_or(100),
             seed: num(args, "--seed", 1)?,
             profile,
         };
         let threads = threads(args)?;
         let out = SimOutputs::parse(args)?;
         let mode = if let Some(name) = adversary {
-            let cfg = timeline_config(args, &base, "--adversary needs", true)?;
-            let strategy = adversary_strategy(args, &name, cfg.locations)?;
-            SimMode::Adversary(cfg, strategy)
+            let timeline = timeline_config(args, &base, "--adversary needs", true)?;
+            let strategy = adversary_strategy(args, &name, timeline.locations)?;
+            let adversary = AdversaryPlan {
+                strategy,
+                after_messages: 0,
+                seed: timeline.seed,
+            };
+            SimMode::Adversary(AdversarySweepConfig {
+                timeline,
+                adversary,
+            })
         } else if timeline {
             SimMode::Timeline(timeline_config(args, &base, "--epochs needs", false)?)
         } else if lossy {
@@ -766,9 +775,7 @@ fn cmd_sim(args: &[String]) -> Result<(), String> {
             "lossy-collection sweep",
         ),
         SimMode::Timeline(cfg) => (sim_timeline(cfg, threads)?, "persistence timeline"),
-        SimMode::Adversary(cfg, strategy) => {
-            (sim_adversary(cfg, *strategy, threads), "adversary sweep")
-        }
+        SimMode::Adversary(cfg) => (sim_adversary(cfg, threads), "adversary sweep"),
     };
     sim.out.finish(&mut meta, &results, what)
 }
@@ -869,29 +876,13 @@ fn sim_timeline(cfg: &TimelineConfig, threads: usize) -> Result<String, String> 
 
 /// The adversary mode: per-epoch decoding degradation under a structured
 /// fault adversary, measured through the faulted transport.
-fn sim_adversary(t: &TimelineConfig, strategy: AdversaryStrategy, threads: usize) -> String {
-    println!("adversary sweep: {strategy:?}, {}", overlay_line(t));
-    let cfg = AdversarySweepConfig {
-        scheme: t.scheme,
-        profile: t.profile.clone(),
-        distribution: t.distribution.clone(),
-        nodes: t.nodes,
-        locations: t.locations,
-        adversary: AdversaryPlan {
-            strategy,
-            after_messages: 0,
-            seed: t.seed,
-        },
-        epochs: t.epochs,
-        churn_per_epoch: t.churn_per_epoch,
-        repair_donors: t.repair_donors,
-        faults: t.faults.clone(),
-        fanout: t.fanout,
-        coeff_rep: t.coeff_rep,
-        runs: t.runs,
-        seed: t.seed,
-    };
-    let out = simulate_adversary_sweep_with_threads::<Gf256>(&cfg, threads);
+fn sim_adversary(cfg: &AdversarySweepConfig, threads: usize) -> String {
+    println!(
+        "adversary sweep: {:?}, {}",
+        cfg.adversary.strategy,
+        overlay_line(&cfg.timeline)
+    );
+    let out = simulate_adversary_sweep_with_threads::<Gf256>(cfg, threads);
     let mut table = Table::new(["epoch", "levels", "ci95", "survival"]);
     for e in &out {
         let survival: Vec<String> = e.level_survival.iter().map(|s| fmt_f(*s, 2)).collect();
@@ -907,11 +898,13 @@ fn sim_adversary(t: &TimelineConfig, strategy: AdversaryStrategy, threads: usize
 }
 
 /// Finalises a metrics-enabled run: folds the `sim.run` timer into the
-/// metadata and delivers the full snapshot to `dest`. Returns the JSON
-/// so callers can also embed it in a bench envelope.
+/// metadata and delivers the full snapshot to `dest`. Returns the
+/// deterministic part, the metrics block of a bench envelope.
 fn finish_metrics(meta: &mut RunMetadata, dest: &str) -> Result<String, String> {
     meta.aggregate_obs_timing();
-    deliver(dest, prlc_obs::snapshot().to_json(), "metrics")
+    let snap = prlc_obs::snapshot();
+    deliver(dest, snap.to_json(), "metrics")?;
+    Ok(snap.to_deterministic_json())
 }
 
 /// Finalises a trace-enabled run: renders the recorded trace in the
@@ -989,11 +982,11 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     }
 
     let mut table = Table::new(["level", "size", "rows-to-unlock"]);
-    for l in 0..profile.num_levels() {
+    for (l, tick) in unlock.iter().enumerate() {
         table.push_row([
             (l + 1).to_string(),
             profile.blocks_of(l).count().to_string(),
-            unlock[l].map_or_else(|| "-".to_string(), |t| t.to_string()),
+            tick.map_or_else(|| "-".to_string(), |t| t.to_string()),
         ]);
     }
     println!("{}", table.render());

@@ -108,12 +108,17 @@ fn deterministic_metrics(stdout: &[u8]) -> String {
 }
 
 /// The pinned-seed metrics snapshot is byte-identical across worker
-/// thread counts — timing aside, observability must not perturb or be
-/// perturbed by parallel execution.
+/// thread counts and kernel backends — timing aside, observability must
+/// not perturb or be perturbed by parallel execution or dispatch.
 #[test]
 fn metrics_snapshot_is_thread_count_independent() {
-    let run = |threads: &str| {
-        let out = prlc()
+    let run = |threads: &str, kernel: Option<&str>| {
+        let mut cmd = prlc();
+        match kernel {
+            Some(k) => cmd.env("PRLC_KERNEL", k),
+            None => cmd.env_remove("PRLC_KERNEL"),
+        };
+        let out = cmd
             .args([
                 "sim",
                 "--loss",
@@ -137,14 +142,19 @@ fn metrics_snapshot_is_thread_count_independent() {
         );
         deterministic_metrics(&out.stdout)
     };
-    let single = run("1");
-    let multi = run("4");
+    let single = run("1", None);
+    let multi = run("4", None);
+    let scalar = run("4", Some("scalar"));
     assert!(
         single.contains("\"net.messages.sent\""),
         "missing transport counters: {single}"
     );
-    assert!(single.contains("\"events\""), "missing events: {single}");
+    assert!(
+        single.contains("\"gf.axpy.bytes\":"),
+        "kernel byte counters not merged across backends: {single}"
+    );
     assert_eq!(single, multi, "metrics depend on thread count");
+    assert_eq!(single, scalar, "metrics depend on the kernel backend");
 }
 
 /// `--metrics FILE` writes the same snapshot to disk, and `--bench-out`
@@ -649,23 +659,29 @@ fn unknown_flags_are_rejected_by_name() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown flag --epoch"), "{err}");
 
-    // Each `sim` mode also rejects the flags only other modes read.
-    for (mode, flag) in [
-        ("", "--nodes 7"),
-        ("--loss 0.2", "--coeff sparse"),
-        ("--epochs 2", "--adv-focus 0.5"),
-        ("--adversary targeted", "--bogus 1"),
+    // Each `sim` mode also rejects the flags only other modes read, and
+    // a zero run count is rejected by name rather than panicking.
+    for (args, error) in [
+        ("--nodes 7 --runs 2", "unknown flag --nodes"),
+        ("--loss 0.2 --coeff sparse --runs 2", "unknown flag --coeff"),
+        (
+            "--epochs 2 --adv-focus 0.5 --runs 2",
+            "unknown flag --adv-focus",
+        ),
+        (
+            "--adversary targeted --bogus 1 --runs 2",
+            "unknown flag --bogus",
+        ),
+        ("--epochs 2 --runs 0", "--runs must be at least 1"),
     ] {
         let out = prlc()
             .arg("sim")
-            .args(mode.split_whitespace().chain(flag.split_whitespace()))
-            .args(["--runs", "2"])
+            .args(args.split_whitespace())
             .output()
             .unwrap();
-        assert!(!out.status.success(), "{mode:?} accepted {flag:?}");
+        assert!(!out.status.success(), "sim {args} succeeded");
         let err = String::from_utf8_lossy(&out.stderr);
-        let name = flag.split_whitespace().next().unwrap();
-        assert!(err.contains(&format!("unknown flag {name}")), "{err}");
+        assert!(err.contains(error), "{err}");
     }
 
     let dir = temp_dir("unknown-flag");

@@ -8,6 +8,7 @@
 //! * [`SlcDecoder`] — one independent RLC decoder per level ("the partial
 //!   decoding algorithm is essentially the decoding algorithm of RLC for
 //!   the coded blocks in each level").
+//! * [`SchemeDecoder`] — whichever of the two a [`Scheme`] calls for.
 //!
 //! Decoders are generic over the mirrored payload: `Vec<F>` recovers the
 //! actual data, `()` tracks decodability only (used by the large
@@ -18,6 +19,7 @@ use prlc_linalg::{CoeffRow, InsertOutcome, ProgressiveRref, RowPayload};
 
 use crate::block::CodedBlock;
 use crate::priority::PriorityProfile;
+use crate::scheme::Scheme;
 
 /// Payload types a decoder can extract from a [`CodedBlock`].
 ///
@@ -394,11 +396,89 @@ impl<F: GfElem, P: BlockPayload<F>> PriorityDecoder<F> for SlcDecoder<F, P> {
     }
 }
 
+/// The decoder a [`Scheme`] calls for: an [`SlcDecoder`] for SLC, a
+/// [`PlcDecoder`] for PLC and RLC.
+#[derive(Debug, Clone)]
+pub enum SchemeDecoder<F: GfElem, P: BlockPayload<F> = Vec<F>> {
+    /// SLC: one independent decode per level.
+    Slc(SlcDecoder<F, P>),
+    /// PLC and RLC: one progressive decode over all `N` unknowns.
+    Plc(PlcDecoder<F, P>),
+}
+
+impl<F: GfElem> SchemeDecoder<F, Vec<F>> {
+    /// A decoder for `scheme` that recovers full payloads.
+    pub fn with_payloads(scheme: Scheme, profile: PriorityProfile) -> Self {
+        match scheme {
+            Scheme::Slc => Self::Slc(SlcDecoder::with_payloads(profile)),
+            Scheme::Plc | Scheme::Rlc => Self::Plc(PlcDecoder::with_payloads(profile)),
+        }
+    }
+
+    /// The recovered payload of source block `idx`, if decoded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx >= N`.
+    pub fn recovered(&self, idx: usize) -> Option<&[F]> {
+        match self {
+            Self::Slc(d) => d.recovered(idx),
+            Self::Plc(d) => d.recovered(idx),
+        }
+    }
+}
+
+impl<F: GfElem> SchemeDecoder<F, ()> {
+    /// A decodability-only decoder for `scheme` (no payload work).
+    pub fn coefficients_only(scheme: Scheme, profile: PriorityProfile) -> Self {
+        match scheme {
+            Scheme::Slc => Self::Slc(SlcDecoder::coefficients_only(profile)),
+            Scheme::Plc | Scheme::Rlc => Self::Plc(PlcDecoder::coefficients_only(profile)),
+        }
+    }
+}
+
+impl<F: GfElem, P: BlockPayload<F>> PriorityDecoder<F> for SchemeDecoder<F, P> {
+    fn insert_block(&mut self, block: &CodedBlock<F>) -> InsertOutcome {
+        match self {
+            Self::Slc(d) => d.insert_block(block),
+            Self::Plc(d) => d.insert_block(block),
+        }
+    }
+
+    fn decoded_levels(&self) -> usize {
+        match self {
+            Self::Slc(d) => d.decoded_levels(),
+            Self::Plc(d) => d.decoded_levels(),
+        }
+    }
+
+    fn decoded_blocks(&self) -> usize {
+        match self {
+            Self::Slc(d) => d.decoded_blocks(),
+            Self::Plc(d) => d.decoded_blocks(),
+        }
+    }
+
+    fn is_complete(&self) -> bool {
+        match self {
+            Self::Slc(d) => d.is_complete(),
+            Self::Plc(d) => d.is_complete(),
+        }
+    }
+
+    fn blocks_processed(&self) -> usize {
+        match self {
+            Self::Slc(d) => d.blocks_processed(),
+            Self::Plc(d) => d.blocks_processed(),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::encoder::Encoder;
-    use crate::scheme::Scheme;
     use prlc_gf::Gf256;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -544,19 +624,9 @@ mod tests {
         let srcs = sources(&mut rng, 3);
         for scheme in [Scheme::Slc, Scheme::Plc] {
             let enc = Encoder::new(scheme, p.clone());
-            let block = enc.encode(0, &srcs, &mut rng);
-            match scheme {
-                Scheme::Slc => {
-                    let mut d = SlcDecoder::with_payloads(p.clone());
-                    d.insert_block(&block);
-                    assert_eq!(d.decoded_levels(), 1, "{scheme}");
-                }
-                _ => {
-                    let mut d = PlcDecoder::with_payloads(p.clone());
-                    d.insert_block(&block);
-                    assert_eq!(d.decoded_levels(), 1, "{scheme}");
-                }
-            }
+            let mut d = SchemeDecoder::with_payloads(scheme, p.clone());
+            d.insert_block(&enc.encode(0, &srcs, &mut rng));
+            assert_eq!(d.decoded_levels(), 1, "{scheme}");
         }
         // ... whereas RLC decodes nothing from one block.
         let enc = Encoder::new(Scheme::Rlc, p.clone());

@@ -74,7 +74,7 @@ pub mod seeded;
 pub mod utility;
 
 pub use block::CodedBlock;
-pub use decoder::{PlcDecoder, PriorityDecoder, RlcDecoder, SlcDecoder};
+pub use decoder::{PlcDecoder, PriorityDecoder, RlcDecoder, SchemeDecoder, SlcDecoder};
 pub use encoder::{Degree, Encoder};
 pub use priority::{
     DecodingConstraint, DistributionError, PriorityDistribution, PriorityProfile, ProfileError,

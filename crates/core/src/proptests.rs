@@ -8,7 +8,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::baseline::{GrowthDecoder, GrowthEncoder};
-use crate::decoder::{PlcDecoder, PriorityDecoder, SlcDecoder};
+use crate::decoder::{PlcDecoder, PriorityDecoder, SchemeDecoder, SlcDecoder};
 use crate::encoder::Encoder;
 use crate::priority::{PriorityDistribution, PriorityProfile};
 use crate::scheme::Scheme;
@@ -42,46 +42,25 @@ proptest! {
         let dist = PriorityDistribution::uniform(profile.num_levels());
         let enc = Encoder::new(scheme, profile.clone());
 
-        // Run both decoder shapes over the same stream where possible.
-        let mut plc = PlcDecoder::with_payloads(profile.clone());
-        let mut slc = SlcDecoder::with_payloads(profile.clone());
+        let mut dec = SchemeDecoder::with_payloads(scheme, profile.clone());
         let mut last_levels = 0usize;
         for _ in 0..(2 * n + 4) {
             let level = dist.sample_level(&mut rng);
-            let block = enc.encode(level, &sources, &mut rng);
-            let levels = match scheme {
-                Scheme::Slc => {
-                    slc.insert_block(&block);
-                    slc.decoded_levels()
-                }
-                _ => {
-                    plc.insert_block(&block);
-                    plc.decoded_levels()
-                }
-            };
+            dec.insert_block(&enc.encode(level, &sources, &mut rng));
+            let levels = dec.decoded_levels();
             prop_assert!(levels >= last_levels, "decoded levels regressed");
             prop_assert!(levels <= profile.num_levels());
             last_levels = levels;
         }
         // Everything that claims to be recovered matches the source.
-        match scheme {
-            Scheme::Slc => {
-                for i in 0..n {
-                    if let Some(p) = slc.recovered(i) {
-                        prop_assert_eq!(p, &sources[i][..], "block {}", i);
-                    }
-                }
-                prop_assert!(slc.decoded_blocks() <= n);
+        for (i, source) in sources.iter().enumerate() {
+            if let Some(p) = dec.recovered(i) {
+                prop_assert_eq!(p, &source[..], "block {}", i);
             }
-            _ => {
-                for i in 0..n {
-                    if let Some(p) = plc.recovered(i) {
-                        prop_assert_eq!(p, &sources[i][..], "block {}", i);
-                    }
-                }
-                prop_assert!(plc.decoded_blocks() <= n);
-                prop_assert!(plc.rank() <= n);
-            }
+        }
+        prop_assert!(dec.decoded_blocks() <= n);
+        if let SchemeDecoder::Plc(plc) = &dec {
+            prop_assert!(plc.rank() <= n);
         }
     }
 
@@ -164,9 +143,9 @@ proptest! {
                 break;
             }
         }
-        for i in 0..n {
+        for (i, source) in sources.iter().enumerate() {
             if let Some(p) = dec.recovered(i) {
-                prop_assert_eq!(p, &sources[i][..], "block {}", i);
+                prop_assert_eq!(p, &source[..], "block {}", i);
             }
         }
     }

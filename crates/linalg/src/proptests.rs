@@ -75,19 +75,15 @@ proptest! {
             d.insert(r.clone(), ());
         }
         let red = elim::rref(&Matrix::from_rows(rows));
-        let mut batch_solved = vec![false; 6];
+        let mut batch_solved = [false; 6];
         for (ri, &pc) in red.pivot_cols.iter().enumerate() {
             let nz = red.matrix.row(ri).iter().filter(|v| !v.is_zero()).count();
             if nz == 1 {
                 batch_solved[pc] = true;
             }
         }
-        for c in 0..6 {
-            prop_assert_eq!(
-                d.is_decoded(c),
-                batch_solved[c],
-                "column {} disagreement", c
-            );
+        for (c, &solved) in batch_solved.iter().enumerate() {
+            prop_assert_eq!(d.is_decoded(c), solved, "column {} disagreement", c);
         }
         let batch_prefix = batch_solved.iter().take_while(|&&s| s).count();
         prop_assert_eq!(d.decoded_prefix(), batch_prefix);
@@ -128,9 +124,9 @@ proptest! {
                 Gf256::axpy(&mut payload, *c, s);
             }
             d.insert(coeffs, payload);
-            for c in 0..n {
+            for (c, source) in sources.iter().enumerate() {
                 if let Some(p) = d.recovered(c) {
-                    prop_assert_eq!(p, &sources[c], "column {}", c);
+                    prop_assert_eq!(p, source, "column {}", c);
                 }
             }
         }

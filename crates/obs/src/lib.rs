@@ -1,13 +1,11 @@
 //! `prlc-obs`: a zero-dependency, deterministic observability layer for
 //! the PRLC workspace.
 //!
-//! The crate provides four primitives —
+//! The crate provides three primitives —
 //!
 //! * [`Counter`] — monotonic `u64` counters,
 //! * [`Histogram`] — fixed power-of-two bucket histograms,
 //! * [`SpanTimer`] — wall-clock span accumulators (count + nanoseconds),
-//! * a bounded structured **event recorder** ([`record_event`]) with
-//!   domain-separated IDs,
 //!
 //! — plus the [`trace`] module: a deterministic causal tracer of
 //! logical-clock spans and instant events with its own gate
@@ -26,13 +24,16 @@
 //!
 //! * counters and histograms are commutative sums — merge order cannot
 //!   be observed;
-//! * snapshot output is sorted (metrics by name, events by
-//!   `(domain, id, kind, value)`);
-//! * **no wall-clock values are recorded** in counters, histograms or
-//!   events. Wall-clock time lives exclusively in span timers, which
+//! * snapshot output is sorted by metric name;
+//! * **no wall-clock values are recorded** in counters or histograms.
+//!   Wall-clock time lives exclusively in span timers, which
 //!   [`Snapshot::to_deterministic_json`] omits (and
 //!   [`Snapshot::to_json`] emits as the final `"timers"` key so callers
-//!   can strip it textually).
+//!   can strip it textually);
+//! * [`Snapshot::to_deterministic_json`] — the one renderer of every
+//!   metrics block — drops zero counters and empty histograms, and
+//!   merges the per-backend `gf.<op>.bytes.<backend>` counters into
+//!   `gf.<op>.bytes`.
 //!
 //! # Example
 //!
@@ -40,10 +41,10 @@
 //! prlc_obs::enable();
 //! prlc_obs::reset();
 //! prlc_obs::counter!("demo.widgets").add(3);
+//! prlc_obs::counter!("demo.unused");
 //! prlc_obs::histogram!("demo.sizes").observe(17);
-//! prlc_obs::record_event("demo", 7, "made", 3);
-//! let snap = prlc_obs::snapshot();
-//! assert!(snap.to_json().contains("\"demo.widgets\":3"));
+//! let json = prlc_obs::snapshot().to_deterministic_json();
+//! assert!(json.starts_with("{\"counters\":{\"demo.widgets\":3}"));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -298,33 +299,6 @@ impl Drop for Span {
 }
 
 // ---------------------------------------------------------------------------
-// Events
-// ---------------------------------------------------------------------------
-
-/// One structured event. `domain` separates ID namespaces (e.g. a
-/// `net.churn` event's `id` is a node index, a `sim.lossy` event's `id`
-/// is a run seed); `value` must be derived from the workload, never
-/// from the clock.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Event {
-    /// Namespace for `id` (e.g. `"net.churn"`).
-    pub domain: &'static str,
-    /// Identifier within the domain.
-    pub id: u64,
-    /// What happened (e.g. `"crash"`).
-    pub kind: &'static str,
-    /// Deterministic payload value.
-    pub value: u64,
-}
-
-/// Maximum events retained by a registry; later events only bump the
-/// drop counter so the recorder stays bounded. Overflow is never
-/// silent: every snapshot carries the count both as the top-level
-/// `events_dropped` field and as the injected `obs.events.dropped`
-/// counter.
-pub const EVENT_CAPACITY: usize = 4096;
-
-// ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
@@ -335,7 +309,7 @@ struct Metrics {
     timers: BTreeMap<&'static str, &'static SpanTimer>,
 }
 
-/// A named collection of metrics plus a bounded event buffer.
+/// A named collection of metrics.
 ///
 /// Most users talk to the process-global registry through
 /// [`registry`], the [`counter!`]/[`histogram!`]/[`timer!`] macros and
@@ -345,8 +319,6 @@ struct Metrics {
 #[derive(Default)]
 pub struct Registry {
     metrics: Mutex<Metrics>,
-    events: Mutex<Vec<Event>>,
-    events_dropped: AtomicU64,
 }
 
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
@@ -383,28 +355,8 @@ impl Registry {
             .or_insert_with(|| &*Box::leak(Box::new(SpanTimer::new())))
     }
 
-    /// Record a structured event (no-op while disabled). The buffer is
-    /// bounded at [`EVENT_CAPACITY`]; overflow increments a drop
-    /// counter instead of growing.
-    pub fn record_event(&self, domain: &'static str, id: u64, kind: &'static str, value: u64) {
-        if !enabled() {
-            return;
-        }
-        let mut events = lock(&self.events);
-        if events.len() < EVENT_CAPACITY {
-            events.push(Event {
-                domain,
-                id,
-                kind,
-                value,
-            });
-        } else {
-            self.events_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Zero every metric and clear the event buffer. Registered names
-    /// survive (they reappear in snapshots with zero values).
+    /// Zero every metric. Registered names survive (they reappear in
+    /// snapshots with zero values).
     pub fn reset(&self) {
         let metrics = lock(&self.metrics);
         for c in metrics.counters.values() {
@@ -416,31 +368,16 @@ impl Registry {
         for t in metrics.timers.values() {
             t.reset();
         }
-        drop(metrics);
-        lock(&self.events).clear();
-        self.events_dropped.store(0, Ordering::Relaxed);
     }
 
     /// A point-in-time, fully sorted copy of everything recorded.
-    ///
-    /// The always-on `obs.events.dropped` counter (how many events the
-    /// bounded recorder discarded, see [`EVENT_CAPACITY`]) is injected
-    /// at its sorted position so overflow is never silent, even when no
-    /// macro call site registers it.
     pub fn snapshot(&self) -> Snapshot {
         let metrics = lock(&self.metrics);
-        let mut counters: Vec<(&'static str, u64)> = metrics
+        let counters = metrics
             .counters
             .iter()
             .map(|(&n, c)| (n, c.get()))
             .collect();
-        const DROPPED_KEY: &str = "obs.events.dropped";
-        let dropped = self.events_dropped.load(Ordering::Relaxed);
-        let pos = counters.partition_point(|&(n, _)| n < DROPPED_KEY);
-        match counters.get(pos) {
-            Some(&(n, _)) if n == DROPPED_KEY => counters[pos].1 += dropped,
-            _ => counters.insert(pos, (DROPPED_KEY, dropped)),
-        }
         let histograms = metrics
             .histograms
             .iter()
@@ -468,15 +405,10 @@ impl Registry {
                 )
             })
             .collect();
-        drop(metrics);
-        let mut events = lock(&self.events).clone();
-        events.sort();
         Snapshot {
             counters,
             histograms,
             timers,
-            events,
-            events_dropped: self.events_dropped.load(Ordering::Relaxed),
         }
     }
 }
@@ -487,11 +419,6 @@ static GLOBAL: OnceLock<Registry> = OnceLock::new();
 /// `timer!` macros and the free functions below.
 pub fn registry() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
-}
-
-/// Record an event in the global registry. See [`Registry::record_event`].
-pub fn record_event(domain: &'static str, id: u64, kind: &'static str, value: u64) {
-    registry().record_event(domain, id, kind, value);
 }
 
 /// Snapshot the global registry.
@@ -596,10 +523,6 @@ pub struct Snapshot {
     pub histograms: Vec<(&'static str, HistogramSnapshot)>,
     /// Timer states by name (sorted). Wall-clock — non-deterministic.
     pub timers: Vec<(&'static str, TimerSnapshot)>,
-    /// Events sorted by `(domain, id, kind, value)`.
-    pub events: Vec<Event>,
-    /// Events discarded after the buffer filled.
-    pub events_dropped: u64,
 }
 
 /// Appends `s` to `out` escaped for use inside a JSON string literal:
@@ -618,11 +541,27 @@ pub fn json_escape(s: &str, out: &mut String) {
 }
 
 impl Snapshot {
-    /// JSON without any wall-clock content: byte-identical across
-    /// thread counts for a fixed workload.
+    /// The metrics block: JSON without any wall-clock content, the one
+    /// layout behind `prlc sim --metrics`, every `BENCH_*.json` metrics
+    /// block and the protocol golden digests. Byte-identical across
+    /// thread counts and kernel backends for a fixed workload.
+    ///
+    /// Zero-valued counters and empty histograms are dropped: a registry
+    /// keeps every name it ever registered (reset zeroes values, not
+    /// names), so including them would make the block depend on what ran
+    /// earlier in the process. The per-backend `gf.<op>.bytes.<backend>`
+    /// counters are summed into `gf.<op>.bytes`: the byte volume is
+    /// recorded at dispatch entry and is the same whichever backend runs,
+    /// only the key differs.
     pub fn to_deterministic_json(&self) -> String {
+        let mut counters: BTreeMap<&str, u64> = BTreeMap::new();
+        for &(name, v) in &self.counters {
+            if v > 0 {
+                *counters.entry(without_backend(name)).or_insert(0) += v;
+            }
+        }
         let mut s = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
+        for (i, (name, v)) in counters.iter().enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -630,19 +569,7 @@ impl Snapshot {
             json_escape(name, &mut s);
             s.push_str(&format!("\":{v}"));
         }
-        s.push_str("},\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"domain\":\"");
-            json_escape(e.domain, &mut s);
-            s.push_str(&format!("\",\"id\":{},\"kind\":\"", e.id));
-            json_escape(e.kind, &mut s);
-            s.push_str(&format!("\",\"value\":{}}}", e.value));
-        }
-        s.push_str(&format!("],\"events_dropped\":{},", self.events_dropped));
-        s.push_str("\"histogram_bounds\":[");
+        s.push_str("},\"histogram_bounds\":[");
         for (i, b) in BUCKET_BOUNDS.iter().enumerate() {
             if i > 0 {
                 s.push(',');
@@ -650,7 +577,8 @@ impl Snapshot {
             s.push_str(&b.to_string());
         }
         s.push_str("],\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
+        let histograms = self.histograms.iter().filter(|(_, h)| h.count > 0);
+        for (i, (name, h)) in histograms.enumerate() {
             if i > 0 {
                 s.push(',');
             }
@@ -666,7 +594,7 @@ impl Snapshot {
             s.push_str(&format!("],\"sum\":{},\"count\":{}", h.sum, h.count));
             // Bucket-derived percentile upper bounds (docs/METRICS.md,
             // "Histogram percentiles"); null when the rank falls in the
-            // overflow bucket or the histogram is empty.
+            // overflow bucket.
             for (key, q) in [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)] {
                 match h.percentile(q) {
                     Some(v) => s.push_str(&format!(",\"{key}\":{v}")),
@@ -703,6 +631,18 @@ impl Snapshot {
     }
 }
 
+/// `gf.<op>.bytes.<backend>` → `gf.<op>.bytes`; any other key unchanged.
+fn without_backend(name: &str) -> &str {
+    if name.starts_with("gf.") {
+        for suffix in [".scalar", ".table", ".simd"] {
+            if let Some(stem) = name.strip_suffix(suffix) {
+                return stem;
+            }
+        }
+    }
+    name
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -736,15 +676,13 @@ mod tests {
         let r = Registry::new();
         r.counter("c").add(5);
         r.histogram("h").observe(9);
-        r.record_event("d", 1, "k", 2);
         let snap = r.snapshot();
-        assert_eq!(snap.counters, vec![("c", 0), ("obs.events.dropped", 0)]);
+        assert_eq!(snap.counters, vec![("c", 0)]);
         assert_eq!(snap.histograms[0].1.count, 0);
-        assert!(snap.events.is_empty());
     }
 
     #[test]
-    fn counters_histograms_events_round_trip() {
+    fn counters_histograms_round_trip() {
         let _g = guarded();
         enable();
         let r = Registry::new();
@@ -756,22 +694,14 @@ mod tests {
         h.observe(1);
         h.observe(2);
         h.observe(1_000_000);
-        r.record_event("dom", 9, "boom", 4);
-        r.record_event("dom", 3, "boom", 1);
         let snap = r.snapshot();
-        assert_eq!(
-            snap.counters,
-            vec![("a.x", 3), ("b.y", 1), ("obs.events.dropped", 0)]
-        );
+        assert_eq!(snap.counters, vec![("a.x", 3), ("b.y", 1)]);
         let hs = &snap.histograms[0].1;
         assert_eq!(hs.count, 4);
         assert_eq!(hs.sum, 1_000_003);
         assert_eq!(hs.counts[0], 2); // 0 and 1 both land in the <=1 bucket
         assert_eq!(hs.counts[1], 1);
         assert_eq!(*hs.counts.last().unwrap(), 1); // overflow
-                                                   // Events come back sorted by (domain, id, kind, value).
-        assert_eq!(snap.events[0].id, 3);
-        assert_eq!(snap.events[1].id, 9);
         disable();
     }
 
@@ -818,28 +748,9 @@ mod tests {
         let det = r.snapshot().to_deterministic_json();
         assert!(det.contains("\"p50\":4,\"p90\":4,\"p99\":4"));
         r.reset();
+        r.histogram("h").observe(1_000_000);
         let det = r.snapshot().to_deterministic_json();
         assert!(det.contains("\"p50\":null,\"p90\":null,\"p99\":null"));
-        disable();
-    }
-
-    #[test]
-    fn event_buffer_is_bounded() {
-        let _g = guarded();
-        enable();
-        let r = Registry::new();
-        for i in 0..(EVENT_CAPACITY as u64 + 10) {
-            r.record_event("d", i, "k", 0);
-        }
-        let snap = r.snapshot();
-        assert_eq!(snap.events.len(), EVENT_CAPACITY);
-        assert_eq!(snap.events_dropped, 10);
-        // Overflow is surfaced as a counter too, not just the raw field.
-        assert!(snap.counters.contains(&("obs.events.dropped", 10)));
-        r.reset();
-        let snap = r.snapshot();
-        assert!(snap.events.is_empty());
-        assert_eq!(snap.events_dropped, 0);
         disable();
     }
 
@@ -850,10 +761,7 @@ mod tests {
         let r = Registry::new();
         r.counter("kept").add(7);
         r.reset();
-        assert_eq!(
-            r.snapshot().counters,
-            vec![("kept", 0), ("obs.events.dropped", 0)]
-        );
+        assert_eq!(r.snapshot().counters, vec![("kept", 0)]);
         disable();
     }
 
@@ -865,12 +773,10 @@ mod tests {
         r.counter("n").add(1);
         r.histogram("h").observe(3);
         let _ = r.timer("t"); // registered, zero
-        r.record_event("d", 2, "k", 5);
         let snap = r.snapshot();
         let det = snap.to_deterministic_json();
         let full = snap.to_json();
-        assert!(det.starts_with("{\"counters\":{\"n\":1,\"obs.events.dropped\":0}"));
-        assert!(det.contains("\"events\":[{\"domain\":\"d\",\"id\":2,\"kind\":\"k\",\"value\":5}]"));
+        assert!(det.starts_with("{\"counters\":{\"n\":1},\"histogram_bounds\":[1,2,"));
         assert!(det.contains("\"histograms\":{\"h\":{\"counts\":["));
         assert!(!det.contains("\"timers\""));
         // Full JSON is the deterministic body plus a trailing timers key.
@@ -890,12 +796,56 @@ mod tests {
         r.counter("weird\"name\\with\nescapes").incr();
         r.histogram("net.collect.query_hops").observe(7);
         let _ = r.timer("sim.run");
-        r.record_event("net.churn", 2, "crash", 1);
         let snap = r.snapshot();
         for json in [snap.to_json(), snap.to_deterministic_json()] {
             baseline::parse_json(&json).unwrap_or_else(|e| panic!("{e} in {json}"));
         }
         disable();
+    }
+
+    #[test]
+    fn backend_suffix_is_merged_only_for_gf_byte_counters() {
+        assert_eq!(without_backend("gf.axpy.bytes.simd"), "gf.axpy.bytes");
+        assert_eq!(without_backend("gf.scale.bytes.scalar"), "gf.scale.bytes");
+        assert_eq!(without_backend("net.messages.sent"), "net.messages.sent");
+        assert_eq!(without_backend("gf.axpy.bytes"), "gf.axpy.bytes");
+    }
+
+    #[test]
+    fn metrics_block_drops_zero_entries_and_merges_backends() {
+        let empty = HistogramSnapshot {
+            counts: vec![0; NUM_BUCKETS],
+            sum: 0,
+            count: 0,
+        };
+        let mut full = empty.clone();
+        full.counts[0] = 2;
+        full.sum = 2;
+        full.count = 2;
+        let snap = Snapshot {
+            counters: vec![
+                ("gf.axpy.bytes.scalar", 0),
+                ("gf.axpy.bytes.simd", 7),
+                ("gf.axpy.bytes.table", 2),
+                ("net.stale", 0),
+                ("net.used", 3),
+            ],
+            histograms: vec![("h.stale", empty), ("h.used", full)],
+            timers: vec![],
+        };
+        let json = snap.to_deterministic_json();
+        // Zero-valued counters and empty histograms are registry residue
+        // from earlier work in the same process: their presence must not
+        // depend on what ran before.
+        assert!(!json.contains("stale"), "{json}");
+        assert!(
+            json.contains("\"gf.axpy.bytes\":9,\"net.used\":3}"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"h.used\":{\"counts\":[2,") && json.contains("\"p50\":1"),
+            "{json}"
+        );
     }
 
     #[test]
@@ -920,7 +870,6 @@ mod tests {
         histogram!("obs.test.hist").observe(5);
         let _span = timer!("obs.test.timer").span();
         drop(_span);
-        record_event("obs.test", 1, "fired", 2);
         let snap = snapshot();
         assert!(snap
             .counters

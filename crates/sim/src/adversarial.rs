@@ -12,58 +12,35 @@
 //! keeps placing fresh blocks onto them — show their differentiated
 //! damage.
 
-use prlc_core::{
-    CoeffRep, PlcDecoder, PriorityDecoder, PriorityDistribution, PriorityProfile, Scheme,
-    SlcDecoder,
-};
+use prlc_core::{PriorityDecoder, SchemeDecoder};
 use prlc_gf::GfElem;
 use prlc_net::{
     collect_with_faults, observe_deployment, predistribute_with_faults, Adversary, AdversaryPlan,
-    CollectionConfig, Deployment, FaultPlan, FaultSession, Network, NodeId, ProtocolConfig,
-    RefreshConfig, RingNetwork, SourceFanout,
+    CollectionConfig, Deployment, FaultSession, Network, NodeId, RefreshConfig, RingNetwork,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::runner::{default_threads, run_parallel_with_threads, splitmix64};
 use crate::stats::{summarize_trajectories, Summary};
+use crate::timeline::TimelineConfig;
 
-/// Configuration of an adversary sweep.
+/// Configuration of an adversary sweep: a persistence timeline with an
+/// attack mounted on it.
+///
+/// The timeline's `epochs` are simulated after the attack is armed:
+/// crash strikes fire at the first attempt boundary of epoch 1, and
+/// creep corrupts more nodes every epoch. Its `churn_per_epoch` is
+/// background overlay churn (`0.0` isolates the adversary's own damage);
+/// unlike adversary strikes, overlay churn is *visible* to the repair
+/// pass.
 #[derive(Debug, Clone)]
 pub struct AdversarySweepConfig {
-    /// Coding scheme.
-    pub scheme: Scheme,
-    /// Level sizes.
-    pub profile: PriorityProfile,
-    /// Priority distribution for the location parts.
-    pub distribution: PriorityDistribution,
-    /// Overlay size (ring nodes).
-    pub nodes: usize,
-    /// Storage locations `M`.
-    pub locations: usize,
+    /// The deployment, its upkeep and the runs.
+    pub timeline: TimelineConfig,
     /// The attack to mount. Each run re-seeds a copy of this plan
     /// (domain-separated by run seed), mirroring the fault plan.
     pub adversary: AdversaryPlan,
-    /// Epochs to simulate after the attack is armed. Crash strikes fire
-    /// at the first attempt boundary of epoch 1; creep corrupts more
-    /// nodes every epoch.
-    pub epochs: usize,
-    /// Background per-epoch overlay churn (`0.0` isolates the
-    /// adversary's own damage). Unlike adversary strikes, overlay churn
-    /// is *visible* to the repair pass.
-    pub churn_per_epoch: f64,
-    /// Donors per repaired slot; `None` disables repair.
-    pub repair_donors: Option<usize>,
-    /// Fault plan for the protocol sessions (lossy links, retries).
-    pub faults: FaultPlan,
-    /// Source fanout of the predistribution phase.
-    pub fanout: SourceFanout,
-    /// Coefficient-row storage for the cached blocks.
-    pub coeff_rep: CoeffRep,
-    /// Independent runs.
-    pub runs: usize,
-    /// Base seed.
-    pub seed: u64,
 }
 
 /// Decoding state after one epoch, aggregated over the runs.
@@ -100,12 +77,13 @@ pub fn simulate_adversary_sweep_with_threads<F: GfElem>(
     cfg: &AdversarySweepConfig,
     threads: usize,
 ) -> Vec<AdversaryEpoch> {
-    let levels = cfg.profile.num_levels();
+    let t = &cfg.timeline;
+    let levels = t.profile.num_levels();
     let fields = 1 + levels;
     let trajectories =
-        run_parallel_with_threads(cfg.runs, cfg.seed, threads, |seed| one_run::<F>(cfg, seed));
+        run_parallel_with_threads(t.runs, t.seed, threads, |seed| one_run::<F>(cfg, seed));
     let summaries = summarize_trajectories(&trajectories);
-    (0..=cfg.epochs)
+    (0..=t.epochs)
         .map(|epoch| {
             let base = epoch * fields;
             AdversaryEpoch {
@@ -118,75 +96,65 @@ pub fn simulate_adversary_sweep_with_threads<F: GfElem>(
 }
 
 fn one_run<F: GfElem>(cfg: &AdversarySweepConfig, seed: u64) -> Vec<f64> {
-    let levels = cfg.profile.num_levels();
-    let fields = 1 + levels;
-    let mut out = Vec::with_capacity((cfg.epochs + 1) * fields);
+    let t = &cfg.timeline;
+    let fields = 1 + t.profile.num_levels();
+    let mut out = Vec::with_capacity((t.epochs + 1) * fields);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut net = RingNetwork::new(cfg.nodes, &mut rng);
-    let sources: Vec<Vec<F>> = vec![Vec::new(); cfg.profile.total_blocks()];
+    let mut net = RingNetwork::new(t.nodes, &mut rng);
+    let sources: Vec<Vec<F>> = vec![Vec::new(); t.profile.total_blocks()];
 
     // One fault session per run, on one message-step clock; the fault
     // and adversary plans are both re-seeded per run (domain-separated
     // from the run seed) so realisations differ across runs but stay
     // pinned to the base seed.
-    let mut plan = cfg.faults.clone();
+    let mut plan = t.faults.clone();
     plan.seed = splitmix64(seed ^ plan.seed);
-    let mut session = plan.session(cfg.nodes);
+    let mut session = plan.session(t.nodes);
     let mut adv_plan = cfg.adversary;
     adv_plan.seed = splitmix64(seed ^ adv_plan.seed);
 
-    let protocol = ProtocolConfig {
-        scheme: cfg.scheme,
-        profile: cfg.profile.clone(),
-        distribution: cfg.distribution.clone(),
-        locations: cfg.locations,
-        fanout: cfg.fanout,
-        coeff_rep: cfg.coeff_rep,
-        two_choices: true,
-        node_capacity: None,
-        shared_seed: seed,
-    };
+    let protocol = t.protocol(seed);
     let Ok(mut dep) = predistribute_with_faults(&net, &protocol, &sources, &mut session, &mut rng)
     else {
-        out.resize((cfg.epochs + 1) * fields, 0.0);
+        out.resize((t.epochs + 1) * fields, 0.0);
         return out;
     };
     let Some(collector) = net.random_alive_node(&mut rng) else {
-        out.resize((cfg.epochs + 1) * fields, 0.0);
+        out.resize((t.epochs + 1) * fields, 0.0);
         return out;
     };
 
-    push_measurement::<F>(cfg, &net, &dep, collector, &mut session, &mut rng, &mut out);
+    push_measurement::<F>(t, &net, &dep, collector, &mut session, &mut rng, &mut out);
 
-    let mut adversary = Adversary::new(adv_plan, cfg.nodes);
+    let mut adversary = Adversary::new(adv_plan, t.nodes);
     adversary.arm_topology(&net, collector, &mut session);
     adversary.arm_observed(&observe_deployment(&dep), &mut session);
 
-    for _epoch in 1..=cfg.epochs {
+    for _epoch in 1..=t.epochs {
         adversary.advance_epoch(&mut session);
         // Fire strikes already due at this boundary even if repair is
         // disabled and no message would otherwise cross it.
         session.advance_steps(0);
-        if cfg.churn_per_epoch > 0.0 {
-            net.fail_uniform(cfg.churn_per_epoch, &mut rng);
+        if t.churn_per_epoch > 0.0 {
+            net.fail_uniform(t.churn_per_epoch, &mut rng);
         }
         if net.alive_count() == 0 {
             out.extend(std::iter::repeat_n(0.0, fields));
             continue;
         }
-        if let Some(donors) = cfg.repair_donors {
+        if let Some(donors) = t.repair_donors {
             prlc_net::refresh_with_faults(
                 &net,
                 &mut dep,
                 &RefreshConfig {
-                    scheme: cfg.scheme,
+                    scheme: t.scheme,
                     donors_per_slot: donors,
                 },
                 &mut session,
                 &mut rng,
             );
         }
-        push_measurement::<F>(cfg, &net, &dep, collector, &mut session, &mut rng, &mut out);
+        push_measurement::<F>(t, &net, &dep, collector, &mut session, &mut rng, &mut out);
     }
     out
 }
@@ -195,7 +163,7 @@ fn one_run<F: GfElem>(cfg: &AdversarySweepConfig, seed: u64) -> Vec<f64> {
 /// coefficients-only decoder and appends `[levels, survive_1..L]` to
 /// `out`. A dead or unreachable collector scores zero.
 fn push_measurement<F: GfElem>(
-    cfg: &AdversarySweepConfig,
+    cfg: &TimelineConfig,
     net: &RingNetwork,
     dep: &Deployment<F>,
     collector: NodeId,
@@ -203,23 +171,12 @@ fn push_measurement<F: GfElem>(
     rng: &mut (impl Rng + ?Sized),
     out: &mut Vec<f64>,
 ) {
-    let levels = cfg.profile.num_levels();
     let ccfg = CollectionConfig::default();
-    let decoded = match cfg.scheme {
-        Scheme::Slc => {
-            let mut dec: SlcDecoder<F, ()> = SlcDecoder::coefficients_only(cfg.profile.clone());
-            collect_with_faults(net, dep, &mut dec, collector, &ccfg, session, rng)
-                .map(|_| dec.decoded_levels())
-        }
-        _ => {
-            let mut dec: PlcDecoder<F, ()> = PlcDecoder::coefficients_only(cfg.profile.clone());
-            collect_with_faults(net, dep, &mut dec, collector, &ccfg, session, rng)
-                .map(|_| dec.decoded_levels())
-        }
-    };
-    let decoded = decoded.unwrap_or(0);
+    let mut dec = SchemeDecoder::<F, ()>::coefficients_only(cfg.scheme, cfg.profile.clone());
+    let decoded = collect_with_faults(net, dep, &mut dec, collector, &ccfg, session, rng)
+        .map_or(0, |_| dec.decoded_levels());
     out.push(decoded as f64);
-    for k in 1..=levels {
+    for k in 1..=cfg.profile.num_levels() {
         out.push(if decoded >= k { 1.0 } else { 0.0 });
     }
 }
@@ -247,29 +204,32 @@ pub fn adversary_results_json(epochs: &[AdversaryEpoch]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prlc_core::{CoeffRep, PriorityDistribution, PriorityProfile, Scheme};
     use prlc_gf::Gf256;
-    use prlc_net::AdversaryStrategy;
+    use prlc_net::{AdversaryStrategy, FaultPlan, SourceFanout};
 
     fn base(strategy: AdversaryStrategy) -> AdversarySweepConfig {
         AdversarySweepConfig {
-            scheme: Scheme::Plc,
-            profile: PriorityProfile::new(vec![2, 3, 5]).unwrap(),
-            distribution: PriorityDistribution::uniform(3),
-            nodes: 60,
-            locations: 30,
+            timeline: TimelineConfig {
+                scheme: Scheme::Plc,
+                profile: PriorityProfile::new(vec![2, 3, 5]).unwrap(),
+                distribution: PriorityDistribution::uniform(3),
+                nodes: 60,
+                locations: 30,
+                churn_per_epoch: 0.0,
+                epochs: 3,
+                repair_donors: None,
+                faults: FaultPlan::none(),
+                fanout: SourceFanout::All,
+                coeff_rep: CoeffRep::Dense,
+                runs: 8,
+                seed: 17,
+            },
             adversary: AdversaryPlan {
                 strategy,
                 after_messages: 0,
                 seed: 3,
             },
-            epochs: 3,
-            churn_per_epoch: 0.0,
-            repair_donors: None,
-            faults: FaultPlan::none(),
-            fanout: SourceFanout::All,
-            coeff_rep: CoeffRep::Dense,
-            runs: 8,
-            seed: 17,
         }
     }
 

@@ -19,15 +19,10 @@
 //!
 //! Every probe resets the global recorders through
 //! [`run_probe_and_reset`] — the same helper `prlc sim` uses — so its
-//! metrics block reflects only the probe's own deterministic work.
-//! Fields that cannot be deterministic never enter an envelope:
-//! the event buffer (its retained set depends on thread scheduling once
-//! it overflows), span timers (wall-clock), and the
-//! `obs.events.dropped` counter are all skipped, and the
-//! backend-suffixed `gf.<op>.bytes.<backend>` counters are merged to
-//! `gf.<op>.bytes` so envelopes agree across `PRLC_KERNEL` settings.
-
-use std::collections::BTreeMap;
+//! metrics block reflects only the probe's own deterministic work. The
+//! block is [`prlc_obs::Snapshot::to_deterministic_json`], the layout
+//! `prlc sim --metrics` writes: no span timers (wall-clock), and backend
+//! byte counters merged so envelopes agree across `PRLC_KERNEL` settings.
 
 use prlc_core::{Encoder, PriorityDistribution, PriorityProfile, Scheme};
 use prlc_gf::{kernel, Gf256};
@@ -92,7 +87,7 @@ fn probe_envelope(
     rng_end_state: Option<&str>,
     wall_ms: f64,
 ) -> String {
-    let metrics = prlc_obs::enabled().then(|| deterministic_metrics_json(&prlc_obs::snapshot()));
+    let metrics = prlc_obs::enabled().then(|| prlc_obs::snapshot().to_deterministic_json());
     let trace_digest =
         prlc_obs::trace::enabled().then(|| digest64(&prlc_obs::trace::snapshot().to_json()));
     meta.aggregate_obs_timing();
@@ -106,68 +101,6 @@ fn probe_envelope(
         wall_ms: Some(wall_ms),
         ..Envelope::default()
     })
-}
-
-/// The metrics block a baseline can hold: counters, histogram bounds and
-/// histograms (with their percentile fields) — no events (the bounded
-/// buffer's retained set is thread-schedule-dependent once it
-/// overflows), no timers (wall-clock), no `obs.events.dropped`. The
-/// per-backend `gf.<op>.bytes.<backend>` counters are merged to
-/// `gf.<op>.bytes`: the byte volume is recorded at dispatch entry and is
-/// identical whichever backend runs, only the key differs. Zero-valued
-/// counters and empty histograms are dropped: the global registry keeps
-/// names registered by *earlier* probes (reset zeroes values but not
-/// names), so including them would make an envelope depend on which
-/// probes ran before it in the same process.
-pub fn deterministic_metrics_json(snap: &prlc_obs::Snapshot) -> String {
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    for (name, v) in &snap.counters {
-        if *name == "obs.events.dropped" || *v == 0 {
-            continue;
-        }
-        *counters.entry(merge_backend_suffix(name)).or_insert(0) += v;
-    }
-    fn join(items: impl Iterator<Item = String>) -> String {
-        items.collect::<Vec<_>>().join(",")
-    }
-    let histogram = |name: &str, h: &prlc_obs::HistogramSnapshot| {
-        let percentiles: String = [("p50", 0.50), ("p90", 0.90), ("p99", 0.99)]
-            .iter()
-            .map(|(key, q)| match h.percentile(*q) {
-                Some(v) => format!(",\"{key}\":{v}"),
-                None => format!(",\"{key}\":null"),
-            })
-            .collect();
-        format!(
-            "\"{name}\":{{\"counts\":[{}],\"sum\":{},\"count\":{}{percentiles}}}",
-            join(h.counts.iter().map(u64::to_string)),
-            h.sum,
-            h.count
-        )
-    };
-    format!(
-        "{{\"counters\":{{{}}},\"histogram_bounds\":[{}],\"histograms\":{{{}}}}}",
-        join(counters.iter().map(|(name, v)| format!("\"{name}\":{v}"))),
-        join(prlc_obs::BUCKET_BOUNDS.iter().map(u64::to_string)),
-        join(
-            snap.histograms
-                .iter()
-                .filter(|(_, h)| h.count > 0)
-                .map(|(n, h)| histogram(n, h))
-        ),
-    )
-}
-
-/// `gf.<op>.bytes.<backend>` → `gf.<op>.bytes`; anything else unchanged.
-fn merge_backend_suffix(name: &str) -> String {
-    if name.starts_with("gf.") {
-        for suffix in [".scalar", ".table", ".simd"] {
-            if let Some(stem) = name.strip_suffix(suffix) {
-                return stem.to_string();
-            }
-        }
-    }
-    name.to_string()
 }
 
 // ---------------------------------------------------------------------------
@@ -299,11 +232,21 @@ fn probe_timeline(threads: usize) -> Result<String, String> {
 fn probe_adversary(threads: usize) -> Result<String, String> {
     let (profile, distribution) = plc_profile()?;
     let cfg = AdversarySweepConfig {
-        scheme: Scheme::Plc,
-        profile,
-        distribution,
-        nodes: 10_000,
-        locations: 200,
+        timeline: TimelineConfig {
+            scheme: Scheme::Plc,
+            profile,
+            distribution,
+            nodes: 10_000,
+            locations: 200,
+            churn_per_epoch: 0.0,
+            epochs: 2,
+            repair_donors: None,
+            faults: FaultPlan::none(),
+            fanout: SourceFanout::All,
+            coeff_rep: CoeffRep::Dense,
+            runs: 10,
+            seed: 42,
+        },
         adversary: AdversaryPlan {
             strategy: AdversaryStrategy::Targeted {
                 kills: 192,
@@ -312,14 +255,6 @@ fn probe_adversary(threads: usize) -> Result<String, String> {
             after_messages: 0,
             seed: 42,
         },
-        epochs: 2,
-        churn_per_epoch: 0.0,
-        repair_donors: None,
-        faults: FaultPlan::none(),
-        fanout: SourceFanout::All,
-        coeff_rep: CoeffRep::Dense,
-        runs: 10,
-        seed: 42,
     };
     let meta = run_probe_and_reset(threads);
     let (epochs, wall_ms) =
@@ -405,58 +340,6 @@ mod tests {
         assert_eq!(bench_file_name("kernel"), "BENCH_kernel.json");
         assert_eq!(BENCH_PROBES.len(), 5);
         assert!(run_bench_probe("nope", 1).is_err());
-    }
-
-    #[test]
-    fn merge_backend_suffix_only_rewrites_gf_byte_counters() {
-        assert_eq!(merge_backend_suffix("gf.axpy.bytes.simd"), "gf.axpy.bytes");
-        assert_eq!(
-            merge_backend_suffix("gf.scale.bytes.scalar"),
-            "gf.scale.bytes"
-        );
-        assert_eq!(
-            merge_backend_suffix("net.messages.sent"),
-            "net.messages.sent"
-        );
-        assert_eq!(merge_backend_suffix("gf.axpy.bytes"), "gf.axpy.bytes");
-    }
-
-    #[test]
-    fn metrics_block_drops_zero_entries_and_merges_backends() {
-        let empty = prlc_obs::HistogramSnapshot {
-            counts: vec![0; 15],
-            sum: 0,
-            count: 0,
-        };
-        let mut full = empty.clone();
-        full.counts[0] = 2;
-        full.sum = 2;
-        full.count = 2;
-        let snap = prlc_obs::Snapshot {
-            counters: vec![
-                ("gf.axpy.bytes.scalar", 0),
-                ("gf.axpy.bytes.simd", 7),
-                ("net.stale", 0),
-                ("net.used", 3),
-                ("obs.events.dropped", 5),
-            ],
-            histograms: vec![("h.stale", empty), ("h.used", full)],
-            timers: vec![],
-            events: vec![],
-            events_dropped: 5,
-        };
-        let json = deterministic_metrics_json(&snap);
-        // Zero-valued counters and empty histograms are registry
-        // residue from earlier probes in the same process — their
-        // presence must not depend on suite order or --probe subsets.
-        assert!(!json.contains("stale"), "{json}");
-        assert!(!json.contains("obs.events.dropped"), "{json}");
-        assert!(json.contains("\"gf.axpy.bytes\":7"), "{json}");
-        assert!(json.contains("\"net.used\":3"), "{json}");
-        assert!(
-            json.contains("\"h.used\":{\"counts\":[2,") && json.contains("\"p50\":1"),
-            "{json}"
-        );
     }
 
     #[test]

@@ -13,7 +13,7 @@
 
 use prlc_core::baseline::{GrowthDecoder, GrowthEncoder, ReplicationDecoder, ReplicationEncoder};
 use prlc_core::{
-    Encoder, PlcDecoder, PriorityDecoder, PriorityDistribution, PriorityProfile, Scheme, SlcDecoder,
+    Encoder, PriorityDecoder, PriorityDistribution, PriorityProfile, Scheme, SchemeDecoder,
 };
 use prlc_gf::GfElem;
 use rand::rngs::StdRng;
@@ -112,18 +112,9 @@ fn one_trajectory<F: GfElem>(cfg: &CurveConfig, rng: &mut StdRng) -> Vec<f64> {
     let mut out = Vec::with_capacity(cfg.max_blocks + 1);
     out.push(0.0);
     match cfg.persistence {
-        Persistence::Coding(Scheme::Slc) => {
-            let enc = Encoder::new(Scheme::Slc, cfg.profile.clone());
-            let mut dec: SlcDecoder<F, ()> = SlcDecoder::coefficients_only(cfg.profile.clone());
-            for _ in 0..cfg.max_blocks {
-                let level = cfg.distribution.sample_level(rng);
-                dec.insert_block(&enc.encode_unpayloaded::<F, _>(level, rng));
-                out.push(dec.decoded_levels() as f64);
-            }
-        }
         Persistence::Coding(scheme) => {
             let enc = Encoder::new(scheme, cfg.profile.clone());
-            let mut dec: PlcDecoder<F, ()> = PlcDecoder::coefficients_only(cfg.profile.clone());
+            let mut dec = SchemeDecoder::<F, ()>::coefficients_only(scheme, cfg.profile.clone());
             for _ in 0..cfg.max_blocks {
                 let level = cfg.distribution.sample_level(rng);
                 dec.insert_block(&enc.encode_unpayloaded::<F, _>(level, rng));
@@ -214,21 +205,9 @@ pub fn simulate_survivability_with_threads<F: GfElem>(
 fn one_survival<F: GfElem>(cfg: &SurvivabilityConfig, loss: f64, rng: &mut StdRng) -> usize {
     let keep = |rng: &mut StdRng| !rng.gen_bool(loss);
     match cfg.persistence {
-        Persistence::Coding(Scheme::Slc) => {
-            let enc = Encoder::new(Scheme::Slc, cfg.profile.clone());
-            let mut dec: SlcDecoder<F, ()> = SlcDecoder::coefficients_only(cfg.profile.clone());
-            for _ in 0..cfg.stored_blocks {
-                let level = cfg.distribution.sample_level(rng);
-                let b = enc.encode_unpayloaded::<F, _>(level, rng);
-                if keep(rng) {
-                    dec.insert_block(&b);
-                }
-            }
-            dec.decoded_levels()
-        }
         Persistence::Coding(scheme) => {
             let enc = Encoder::new(scheme, cfg.profile.clone());
-            let mut dec: PlcDecoder<F, ()> = PlcDecoder::coefficients_only(cfg.profile.clone());
+            let mut dec = SchemeDecoder::<F, ()>::coefficients_only(scheme, cfg.profile.clone());
             for _ in 0..cfg.stored_blocks {
                 let level = cfg.distribution.sample_level(rng);
                 let b = enc.encode_unpayloaded::<F, _>(level, rng);

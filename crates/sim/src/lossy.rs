@@ -13,8 +13,7 @@
 //! buys back.
 
 use prlc_core::{
-    CoeffRep, PlcDecoder, PriorityDecoder, PriorityDistribution, PriorityProfile, Scheme,
-    SlcDecoder,
+    CoeffRep, PriorityDecoder, PriorityDistribution, PriorityProfile, Scheme, SchemeDecoder,
 };
 use prlc_gf::GfElem;
 use prlc_net::{
@@ -260,36 +259,18 @@ fn one_sweep_run<F: GfElem>(
             );
             let mut faults = plan.session(net.node_count());
             let ccfg = CollectionConfig::default();
-            let report = match cfg.scheme {
-                Scheme::Slc => {
-                    let mut dec: SlcDecoder<F, ()> =
-                        SlcDecoder::coefficients_only(cfg.profile.clone());
-                    collect_with_faults(
-                        &net,
-                        &dep,
-                        &mut dec,
-                        collector,
-                        &ccfg,
-                        &mut faults,
-                        &mut cell_rng,
-                    )
-                    .map(|r| (r, dec.decoded_levels()))
-                }
-                _ => {
-                    let mut dec: PlcDecoder<F, ()> =
-                        PlcDecoder::coefficients_only(cfg.profile.clone());
-                    collect_with_faults(
-                        &net,
-                        &dep,
-                        &mut dec,
-                        collector,
-                        &ccfg,
-                        &mut faults,
-                        &mut cell_rng,
-                    )
-                    .map(|r| (r, dec.decoded_levels()))
-                }
-            };
+            let mut dec =
+                SchemeDecoder::<F, ()>::coefficients_only(cfg.scheme, cfg.profile.clone());
+            let report = collect_with_faults(
+                &net,
+                &dep,
+                &mut dec,
+                collector,
+                &ccfg,
+                &mut faults,
+                &mut cell_rng,
+            )
+            .map(|r| (r, dec.decoded_levels()));
             let (report, levels) = report.unwrap_or((CollectionReport::default(), 0));
             out.push(levels as f64);
             out.push(report.blocks_collected as f64);
@@ -299,18 +280,6 @@ fn one_sweep_run<F: GfElem>(
             out.push(report.gave_up as f64);
             out.push(report.query_hops as f64);
         }
-    }
-    if prlc_obs::enabled() {
-        // One structured trace entry per run: the run seed identifies the
-        // run, the value is the first cell's decoded level count — both
-        // deterministic, so the event stream survives snapshot sorting
-        // identically across thread counts.
-        prlc_obs::record_event(
-            "sim.lossy",
-            seed,
-            "run",
-            out.first().copied().unwrap_or(0.0) as u64,
-        );
     }
     Ok(out)
 }

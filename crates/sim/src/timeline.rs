@@ -8,8 +8,7 @@
 //! claws back — by measuring the decodable levels after every epoch.
 
 use prlc_core::{
-    CoeffRep, PlcDecoder, PriorityDecoder, PriorityDistribution, PriorityProfile, Scheme,
-    SlcDecoder,
+    CoeffRep, PriorityDecoder, PriorityDistribution, PriorityProfile, Scheme, SchemeDecoder,
 };
 use prlc_gf::GfElem;
 use prlc_net::{
@@ -61,6 +60,24 @@ pub struct TimelineConfig {
     pub seed: u64,
 }
 
+impl TimelineConfig {
+    /// The pre-distribution protocol of one run, whose coefficient
+    /// generators share `shared_seed`.
+    pub(crate) fn protocol(&self, shared_seed: u64) -> ProtocolConfig {
+        ProtocolConfig {
+            scheme: self.scheme,
+            profile: self.profile.clone(),
+            distribution: self.distribution.clone(),
+            locations: self.locations,
+            fanout: self.fanout,
+            coeff_rep: self.coeff_rep,
+            two_choices: true,
+            node_capacity: None,
+            shared_seed,
+        }
+    }
+}
+
 /// Mean decodable levels after each epoch (`out[0]` is before any
 /// churn; `out[e]` after epoch `e`). Runs on the runner's default
 /// worker count; see [`simulate_persistence_timeline_with_threads`].
@@ -101,23 +118,8 @@ pub fn simulate_persistence_timeline_with_threads<F: GfElem>(
         let mut plan = cfg.faults.clone();
         plan.seed = splitmix64(seed ^ plan.seed);
         let mut session = plan.session(cfg.nodes);
-        let mut dep = predistribute_with_faults(
-            &net,
-            &ProtocolConfig {
-                scheme: cfg.scheme,
-                profile: cfg.profile.clone(),
-                distribution: cfg.distribution.clone(),
-                locations: cfg.locations,
-                fanout: cfg.fanout,
-                coeff_rep: cfg.coeff_rep,
-                two_choices: true,
-                node_capacity: None,
-                shared_seed: seed,
-            },
-            &sources,
-            &mut session,
-            &mut rng,
-        )?;
+        let mut dep =
+            predistribute_with_faults(&net, &cfg.protocol(seed), &sources, &mut session, &mut rng)?;
 
         let baseline = decodable_levels::<F>(&net, &dep, cfg);
         out.push(baseline as f64);
@@ -185,29 +187,14 @@ fn decodable_levels<F: GfElem>(
     dep: &prlc_net::Deployment<F>,
     cfg: &TimelineConfig,
 ) -> usize {
-    let surviving = dep.surviving_slots(net);
-    match cfg.scheme {
-        Scheme::Slc => {
-            let mut dec: SlcDecoder<F, ()> = SlcDecoder::coefficients_only(cfg.profile.clone());
-            for &i in &surviving {
-                let slot = &dep.slots()[i];
-                if !slot.block.is_empty() {
-                    dec.insert_block(&slot.block);
-                }
-            }
-            dec.decoded_levels()
-        }
-        _ => {
-            let mut dec: PlcDecoder<F, ()> = PlcDecoder::coefficients_only(cfg.profile.clone());
-            for &i in &surviving {
-                let slot = &dep.slots()[i];
-                if !slot.block.is_empty() {
-                    dec.insert_block(&slot.block);
-                }
-            }
-            dec.decoded_levels()
+    let mut dec = SchemeDecoder::<F, ()>::coefficients_only(cfg.scheme, cfg.profile.clone());
+    for i in dep.surviving_slots(net) {
+        let slot = &dep.slots()[i];
+        if !slot.block.is_empty() {
+            dec.insert_block(&slot.block);
         }
     }
+    dec.decoded_levels()
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! the decoded level count and the RNG end state are pinned raw. The
 //! goldens hold under every kernel backend and thread count: the
 //! metrics field is the residue-free, backend-merged form that bench
-//! envelopes carry (`prlc::sim::bench::deterministic_metrics_json`).
+//! envelopes carry (`prlc::obs::Snapshot::to_deterministic_json`).
 
 use prlc::net::{
     collect_with_faults, observe_deployment, predistribute_with_faults, refresh_with_faults,
@@ -23,7 +23,6 @@ use prlc::net::{
 use prlc::obs;
 use prlc::obs::baseline::fnv1a;
 use prlc::prelude::*;
-use prlc::sim::bench::deterministic_metrics_json;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Mutex;
@@ -187,7 +186,7 @@ fn run_pipeline(
         refresh_report,
         collect_report: digest(&collect_report),
         decoded_levels,
-        metrics_json: digest(&deterministic_metrics_json(&obs::snapshot())),
+        metrics_json: digest(&obs::snapshot().to_deterministic_json()),
         trace_json: digest(&obs::trace::snapshot().to_json()),
         rng_end: rng.gen(),
     }
